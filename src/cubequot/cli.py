@@ -23,10 +23,10 @@ from .cube_symmetry import (
     min_distance,
     parse_group_file,
 )
-from .errors import CubeQuotError, NotBipartite, UnknownClaim
+from .errors import CubeQuotError, UnknownClaim
 from .graph_core import halved_graphs
 from .iso_aut import are_isomorphic, automorphism_group
-from .quotient import build_quotient
+from .quotient import build_quotient, quotient_params
 from .verify import CLAIMS, reports_to_json, run_all, run_example
 
 
@@ -104,11 +104,9 @@ def cmd_halves(args) -> int:
 
 
 def cmd_params(args) -> int:
-    from .graph_core import local_params
-
     K = _load_group(args)
     Q = build_quotient(K)
-    rows = local_params(Q.graph, args.max_level)
+    rows = quotient_params(Q, args.max_level)
     data = {
         "vertices": Q.vertex_count,
         "regular": rows[0].is_regular,
@@ -242,9 +240,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotBipartite as exc:
-        print(f"error:{exc.code}: {exc}", file=sys.stderr)
-        return 1
     except CubeQuotError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatch,
     GroupTooLarge,
     IdentityElement,
+    InvariantViolated,
     ParseError,
     Unsupported,
 )
@@ -514,7 +515,8 @@ def conjugate_group(K: CubeGroup, g: CubeAutomorphism) -> CubeGroup:
     if K.is_trivial:
         return CubeGroup.trivial(K.n)
     result = generate_group(conj_gens, cap=K.order + 1)
-    assert result.order == K.order
+    if result.order != K.order:
+        raise InvariantViolated(f"conjugate has order {result.order}, K has {K.order}")
     return result
 
 
@@ -543,7 +545,10 @@ def intersect_even(K: CubeGroup) -> CubeGroup:
         return K
     gens = _reduce_generators(K.n, even_elems)
     result = generate_group(gens, cap=K.order + 1)
-    assert result.order == len(even_elems)
+    if result.order != len(even_elems):
+        raise InvariantViolated(
+            f"even part generates order {result.order}, expected {len(even_elems)}"
+        )
     return result
 
 
@@ -716,13 +721,14 @@ def _normalizer_involution(K: CubeGroup, even: bool, cap: int) -> CubeGroup:
         expected = count * (1 << len(kernel_basis))
 
     order = builder.order()
-    if expected is not None:
-        assert order == expected, (order, expected)
+    if expected is not None and order != expected:
+        raise InvariantViolated(f"normalizer order {order}, centralizer count gives {expected}")
     gens = tuple(builder.gens)
     elements = None
     if order <= cap:
         group = generate_group(gens, cap=order + 1, n=n) if gens else CubeGroup.trivial(n)
-        assert group.order == order
+        if group.order != order:
+            raise InvariantViolated(f"normalizer closure has order {group.order}, expected {order}")
         elements = group.elements
     return CubeGroup(n, gens, elements, order)
 
@@ -783,7 +789,8 @@ def _normalizer_brute(K: CubeGroup, even: bool, cap: int) -> CubeGroup:
     elements = None
     if order <= cap:
         group = generate_group(gens, cap=order + 1, n=n) if gens else CubeGroup.trivial(n)
-        assert group.order == order
+        if group.order != order:
+            raise InvariantViolated(f"normalizer closure has order {group.order}, expected {order}")
         elements = group.elements
     return CubeGroup(n, gens, elements, order)
 

@@ -83,6 +83,12 @@ class PreconditionViolated(CubeQuotError):
     code = "PRECONDITION_VIOLATED"
 
 
+class InvariantViolated(CubeQuotError):
+    """An internal consistency check failed; the result cannot be trusted."""
+
+    code = "INVARIANT_VIOLATED"
+
+
 class UnknownExample(CubeQuotError):
     code = "UNKNOWN_EXAMPLE"
 

@@ -152,21 +152,28 @@ class SimpleGraph:
                 labels[perm[v]] = self.labels[v]
         return SimpleGraph(self.n, adj, labels)
 
-    def bfs_level_masks(self, start: int) -> list[int]:
-        """Masks of the distance spheres around start, index = distance."""
+    def bfs_level_masks(self, start: int, max_level: Optional[int] = None) -> list[int]:
+        """Masks of the distance spheres around start, index = distance.
+
+        This is the package's one BFS kernel. With max_level set, the search
+        stops after that level, so the list has at most max_level + 1 masks;
+        a shorter list means the spheres beyond it are empty.
+        """
         levels = [1 << start]
         seen = 1 << start
         frontier = 1 << start
-        while True:
+        adj = self.adj
+        while max_level is None or len(levels) <= max_level:
             nxt = 0
             for v in bits_of(frontier):
-                nxt |= self.adj[v]
+                nxt |= adj[v]
             nxt &= ~seen
             if not nxt:
-                return levels
+                break
             levels.append(nxt)
             seen |= nxt
             frontier = nxt
+        return levels
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -258,11 +265,20 @@ def triangular_graph(n: int) -> SimpleGraph:
     return SimpleGraph.from_edges(len(subsets), edges, labels)
 
 
-def local_params(G: SimpleGraph, max_level: int) -> list[LocalParams]:
+def local_params(
+    G: SimpleGraph, max_level: int, roots: Optional[Iterable[int]] = None
+) -> list[LocalParams]:
     """c_i and a_i over all pairs at distance i, for i = 0..max_level.
 
     A level where the counts depend on the pair reports UNDEFINED; a level
     with no pairs at all reports VACUOUS.
+
+    Each root u runs one BFS truncated at max_level and contributes the
+    pairs (u, v). By default every vertex is a root. A caller may pass
+    fewer roots, provided they meet every orbit of some automorphism group
+    of G: an automorphism maps pairs at distance i to pairs at distance i
+    and preserves both counts, so the result is the same. For quotients of
+    the cube, `quotient.translation_roots` gives such a set.
     """
     if G.n == 0:
         raise ValueError("graph is empty")
@@ -273,14 +289,15 @@ def local_params(G: SimpleGraph, max_level: int) -> list[LocalParams]:
     a_vals: list[ParamValue] = [VACUOUS] * (max_level + 1)
     c_vals[0] = 0
     a_vals[0] = 0
-    for u in range(G.n):
-        levels = G.bfs_level_masks(u)
-        for i in range(1, min(max_level, len(levels) - 1) + 1):
+    adj = G.adj
+    for u in range(G.n) if roots is None else roots:
+        levels = G.bfs_level_masks(u, max_level)
+        for i in range(1, len(levels)):
             below = levels[i - 1]
             here = levels[i]
             for v in bits_of(here):
-                c = (G.adj[v] & below).bit_count()
-                a = (G.adj[v] & here).bit_count()
+                c = (adj[v] & below).bit_count()
+                a = (adj[v] & here).bit_count()
                 for vals, x in ((c_vals, c), (a_vals, a)):
                     cur = vals[i]
                     if cur is VACUOUS:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import TooLarge
+from .errors import InvariantViolated, TooLarge
 from .graph_core import SimpleGraph, bits_of
 from .perm_groups import PermutationGroup
 
@@ -35,27 +35,12 @@ def _canonical_colors(values: Sequence) -> list[int]:
     return [order[val] for val in values]
 
 
-def _invariant_values(adj: Sequence[int]) -> list[tuple]:
+def _invariant_values(G: SimpleGraph) -> list[tuple]:
     """Per-vertex invariant: (degree, sizes of the distance spheres)."""
-    n = len(adj)
-    out = []
-    for v in range(n):
-        levels = [1 << v]
-        seen = 1 << v
-        frontier = 1 << v
-        profile = []
-        while True:
-            nxt = 0
-            for w in bits_of(frontier):
-                nxt |= adj[w]
-            nxt &= ~seen
-            if not nxt:
-                break
-            profile.append(nxt.bit_count())
-            seen |= nxt
-            frontier = nxt
-        out.append((adj[v].bit_count(), tuple(profile)))
-    return out
+    return [
+        (G.degree(v), tuple(m.bit_count() for m in G.bfs_level_masks(v)[1:]))
+        for v in range(G.n)
+    ]
 
 
 def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
@@ -154,7 +139,7 @@ def automorphism_generators(G: SimpleGraph) -> list[tuple[int, ...]]:
         return []
     adj = G.adj
     nbrs = [G.neighbors(v) for v in range(n)]
-    colors0 = _refine(nbrs, _canonical_colors(_invariant_values(adj)))
+    colors0 = _refine(nbrs, _canonical_colors(_invariant_values(G)))
     gens: list[tuple[int, ...]] = []
     first_leaf: list[Optional[list[int]]] = [None]
     first_trace: list[tuple] = []
@@ -196,7 +181,8 @@ def automorphism_generators(G: SimpleGraph) -> list[tuple[int, ...]]:
             trace = tuple(_class_sizes(child))
             if first_leaf[0] is None:
                 # still descending the leftmost path; record its trace
-                assert len(first_trace) == depth
+                if len(first_trace) != depth:
+                    raise InvariantViolated("first-path trace out of step with the depth")
                 first_trace.append(trace)
             elif trace != first_trace[depth]:
                 explored.append(v)
@@ -207,7 +193,7 @@ def automorphism_generators(G: SimpleGraph) -> list[tuple[int, ...]]:
             if not on_first_path and len(gens) > found_before:
                 return
         if first_leaf[0] is None:
-            raise AssertionError("search left the first path without a leaf")
+            raise InvariantViolated("search left the first path without a leaf")
 
     rec(colors0, 0, [])
     return gens
@@ -289,7 +275,7 @@ def are_isomorphic(G: SimpleGraph, H: SimpleGraph) -> Optional[list[int]]:
         return []
     adj = list(G.adj) + [m << n for m in H.adj]
     nbrs = [list(bits_of(m)) for m in adj]
-    inv = _invariant_values(adj)
+    inv = _invariant_values(G) + _invariant_values(H)
     if sorted(inv[:n]) != sorted(inv[n:]):
         return None
     colors0 = _refine(nbrs, _canonical_colors(inv))

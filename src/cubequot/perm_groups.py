@@ -28,10 +28,6 @@ def invert_perm(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def is_identity_perm(p: Sequence[int]) -> bool:
-    return all(p[i] == i for i in range(len(p)))
-
-
 class PermutationGroup:
     """Group generated incrementally; membership and order via BSGS.
 
@@ -49,8 +45,11 @@ class PermutationGroup:
         self.degree = degree
         self.base: list[int] = []
         self._gens: list[list[tuple[int, ...]]] = []
-        # _transversals[i]: orbit point -> element of H^(i) mapping base[i] to it.
+        # _transversals[i]: orbit point -> element of H^(i) mapping base[i] to it;
+        # _inverses[i] holds the inverses of those elements under the same keys.
         self._transversals: list[dict[int, tuple[int, ...]]] = []
+        self._inverses: list[dict[int, tuple[int, ...]]] = []
+        self._identity = identity_perm(degree)
         self.generators: list[tuple[int, ...]] = []
 
     # -- basic queries ------------------------------------------------
@@ -65,29 +64,6 @@ class PermutationGroup:
         residue, _ = self._sift_from(tuple(p), 0)
         return residue is None
 
-    def orbit_of(self, point: int) -> set[int]:
-        orbit = {point}
-        frontier = [point]
-        while frontier:
-            a = frontier.pop()
-            for g in self.generators:
-                b = g[a]
-                if b not in orbit:
-                    orbit.add(b)
-                    frontier.append(b)
-        return orbit
-
-    def orbits(self) -> list[list[int]]:
-        seen: set[int] = set()
-        out = []
-        for v in range(self.degree):
-            if v in seen:
-                continue
-            orb = sorted(self.orbit_of(v))
-            seen.update(orb)
-            out.append(orb)
-        return out
-
     def elements(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
         """Enumerate all elements as transversal products (cross-check tool)."""
         if limit is not None and self.order() > limit:
@@ -100,7 +76,7 @@ class PermutationGroup:
             for t in self._transversals[level].values():
                 yield from rec(level - 1, compose_perms(acc, t))
 
-        yield from rec(len(self.base) - 1, identity_perm(self.degree))
+        yield from rec(len(self.base) - 1, self._identity)
 
     # -- construction -------------------------------------------------
 
@@ -120,12 +96,11 @@ class PermutationGroup:
     def _sift_from(self, p: tuple[int, ...], start: int):
         """Strip p through chain levels >= start; (None, _) means membership."""
         for i in range(start, len(self.base)):
-            img = p[self.base[i]]
-            t = self._transversals[i].get(img)
-            if t is None:
+            t_inv = self._inverses[i].get(p[self.base[i]])
+            if t_inv is None:
                 return p, i
-            p = compose_perms(p, invert_perm(t))
-        if is_identity_perm(p):
+            p = compose_perms(p, t_inv)
+        if p == self._identity:
             return None, len(self.base)
         return p, len(self.base)
 
@@ -152,6 +127,7 @@ class PermutationGroup:
             self.base.append(self._new_base_point(residue))
             self._gens.append([])
             self._transversals.append({})
+            self._inverses.append({})
         self._gens[level].append(residue)
 
     def _level_gens(self, level: int) -> list[tuple[int, ...]]:
@@ -163,13 +139,13 @@ class PermutationGroup:
         while i >= 0:
             self._orbit_transversal(i)
             trans = self._transversals[i]
+            inverses = self._inverses[i]
             gens = self._level_gens(i)
             offender_level = -1
             for a in list(trans):
                 ta = trans[a]
                 for g in gens:
-                    tb = trans[g[a]]
-                    schreier = compose_perms(compose_perms(ta, g), invert_perm(tb))
+                    schreier = compose_perms(compose_perms(ta, g), inverses[g[a]])
                     residue, drop = self._sift_from(schreier, i + 1)
                     if residue is not None:
                         self._insert(residue, drop)
@@ -185,7 +161,7 @@ class PermutationGroup:
     def _orbit_transversal(self, level: int) -> None:
         b = self.base[level]
         gens = self._level_gens(level)
-        trans = {b: identity_perm(self.degree)}
+        trans = {b: self._identity}
         frontier = deque([b])
         while frontier:
             a = frontier.popleft()
@@ -196,6 +172,7 @@ class PermutationGroup:
                     trans[c] = compose_perms(ta, g)
                     frontier.append(c)
         self._transversals[level] = trans
+        self._inverses[level] = {a: invert_perm(t) for a, t in trans.items()}
 
 
 def group_from_generators(degree: int, gens: Sequence[Sequence[int]]) -> PermutationGroup:

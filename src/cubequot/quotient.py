@@ -8,6 +8,11 @@ bit strings (coordinate 1 leftmost). Distinct orbits are adjacent whenever
 some member of one is cube-adjacent to a member of the other; loops are
 discarded. Semiregularity is not required, so degenerate quotients can be
 built and inspected.
+
+A translation (y, id) that normalizes K maps orbits to orbits, so it acts
+on the quotient as a graph automorphism. `translation_roots` picks one
+vertex per orbit of these automorphisms; distance parameters need a BFS
+from those roots only.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Sequence
 
 from .cube_symmetry import BitVector, CubeGroup
 from .errors import DimensionMismatch, DimensionTooLarge, Unsupported
-from .graph_core import SimpleGraph
+from .graph_core import LocalParams, SimpleGraph, bits_of, local_params
 
 MAX_QUOTIENT_DIMENSION = 20
 
@@ -103,16 +108,95 @@ def sphere(Q: QuotientGraph, base: int, level: int) -> tuple[int, ...]:
     """Orbit ids at graph distance `level` from orbit `base`, ascending."""
     if level < 0:
         raise ValueError("level must be non-negative")
-    masks = Q.graph.bfs_level_masks(base)
+    masks = Q.graph.bfs_level_masks(base, level)
     if level >= len(masks):
         return ()
-    out = []
-    m = masks[level]
-    while m:
-        lsb = m & -m
-        out.append(lsb.bit_length() - 1)
-        m ^= lsb
-    return tuple(out)
+    return tuple(bits_of(masks[level]))
+
+
+def _reduce(v: int, pivots: dict[int, int]) -> int:
+    """v modulo the span of pivots (leading bit -> vector), pivot bits cleared."""
+    for p in sorted(pivots, reverse=True):
+        if (v >> p) & 1:
+            v ^= pivots[p]
+    return v
+
+
+def _add_to_span(v: int, pivots: dict[int, int]) -> bool:
+    """Extend pivots by v; False when v already lies in their span."""
+    v = _reduce(v, pivots)
+    if v:
+        pivots[v.bit_length() - 1] = v
+    return bool(v)
+
+
+def _translation_pivots(K: CubeGroup) -> dict[int, int]:
+    """An echelon basis of T, the subspace of translations in K."""
+    if K.elements is None:
+        raise Unsupported("the translation subgroup needs the group element list")
+    pivots: dict[int, int] = {}
+    for g in K.elements:
+        if g.perm.is_identity():
+            _add_to_span(g.translation.bits, pivots)
+    return pivots
+
+
+def normalizing_translations(K: CubeGroup) -> list[int]:
+    """A basis of Y_0 = {y : y^s xor y in T for every generator (x, s) of K}.
+
+    T is the subspace of translations in K. Conjugating (x, s) by (y, id)
+    gives (x xor y^s xor y, s), and (x xor z, s) lies in K iff z lies in T,
+    so Y_0 is the subspace of translations that normalize K. The condition
+    is linear in y; one Gaussian elimination over F_2 in the n unknowns
+    y_1..y_n solves it, with no loop over the 2^n translations.
+    """
+    n = K.n
+    t_pivots = _translation_pivots(K)
+    perms = [g.perm.images for g in K.generators if not g.perm.is_identity()]
+    # Row i is (f(e_i), e_i), where f(y) stacks y^s xor y mod T for every s.
+    # In an echelon basis of the rows, those whose f-part vanished (leading
+    # bit below n) span the kernel of f, which is Y_0.
+    pivots: dict[int, int] = {}
+    for i in range(n):
+        image = 0
+        for j, images in enumerate(perms):
+            image |= _reduce((1 << images[i]) ^ (1 << i), t_pivots) << (j * n)
+        _add_to_span(image << n | 1 << i, pivots)
+    return [v for p, v in pivots.items() if p < n]
+
+
+def translation_roots(Q: QuotientGraph) -> list[int]:
+    """One quotient vertex per orbit of the translations normalizing K, ascending.
+
+    Each such translation acts on the quotient as an automorphism, so the
+    result is a valid `roots` argument of `graph_core.local_params`. The
+    orbits are found by a search over a basis of Y_0 modulo T (translations
+    in K act trivially).
+    """
+    span = _translation_pivots(Q.group)
+    moves = [y for y in normalizing_translations(Q.group) if _add_to_span(y, span)]
+    reps, index = Q.reps, Q.orbit_index
+    seen = [False] * len(reps)
+    roots = []
+    for root in range(len(reps)):
+        if seen[root]:
+            continue
+        roots.append(root)
+        seen[root] = True
+        stack = [root]
+        while stack:
+            r = reps[stack.pop()]
+            for y in moves:
+                b = index[r ^ y]
+                if not seen[b]:
+                    seen[b] = True
+                    stack.append(b)
+    return roots
+
+
+def quotient_params(Q: QuotientGraph, max_level: int) -> list[LocalParams]:
+    """`local_params` of the quotient graph, searched from `translation_roots` only."""
+    return local_params(Q.graph, max_level, roots=translation_roots(Q))
 
 
 def natural_covering(Q: QuotientGraph):

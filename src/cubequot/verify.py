@@ -36,6 +36,7 @@ from .cube_symmetry import (
     normalizer,
 )
 from .errors import (
+    GroupTooLarge,
     NotBipartite,
     PreconditionViolated,
     UnknownClaim,
@@ -52,7 +53,6 @@ from .graph_core import (
     halved_graphs,
     is_locally,
     is_rectagraph,
-    local_params,
     triangular_graph,
 )
 from .iso_aut import (
@@ -60,7 +60,13 @@ from .iso_aut import (
     automorphism_group,
     verify_isomorphism,
 )
-from .quotient import QuotientGraph, build_quotient, natural_covering, sphere
+from .quotient import (
+    QuotientGraph,
+    build_quotient,
+    natural_covering,
+    quotient_params,
+    sphere,
+)
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -196,7 +202,7 @@ def random_subgroup(n: int, order: int, rng: random.Random) -> CubeGroup:
             gens = [random_involution(n, rng) for _ in range(2 if order == 4 else 3)]
             try:
                 K = generate_group(gens, cap=order + 1)
-            except Exception:
+            except GroupTooLarge:
                 continue
         if K.order == order:
             return K
@@ -397,10 +403,9 @@ def _weight_vectors(n: int, w: int) -> list[int]:
     return out
 
 
-def has_cube_local_structure(Q: QuotientGraph, level: int) -> bool:
-    """Regular of valency n with a_{i-1} = 0 and c_i = i for i <= level."""
-    params = local_params(Q.graph, level)
-    if not params[0].is_regular or params[0].valency != Q.n:
+def _cube_like(params, valency: int, level: int) -> bool:
+    """Regular of the valency with a_{i-1} = 0 and c_i = i for i <= level."""
+    if not params[0].is_regular or params[0].valency != valency:
         return False
     for i in range(1, level + 1):
         if params[i - 1].a_value not in (0, VACUOUS):
@@ -408,6 +413,13 @@ def has_cube_local_structure(Q: QuotientGraph, level: int) -> bool:
         if params[i].c_value not in (i, VACUOUS):
             return False
     return True
+
+
+def has_cube_local_structure(
+    Q: QuotientGraph, level: int, valency: Optional[int] = None
+) -> bool:
+    """Regular of valency n (or `valency`) with a_{i-1} = 0 and c_i = i for i <= level."""
+    return _cube_like(quotient_params(Q, level), Q.n if valency is None else valency, level)
 
 
 def _sphere_vs_weight_classes(Q: QuotientGraph, x: int, level: int):
@@ -726,7 +738,7 @@ def _lem_a_c(seed: int) -> ClaimReport:
     for K in groups:
         d = min_distance(K)
         Q = build_quotient(K)
-        params = local_params(Q.graph, 3)
+        params = quotient_params(Q, 3)
         for level in (1, 2, 3):
             if d >= 2 * level and params[level - 1].a_value not in (0, VACUOUS):
                 return _report(
@@ -762,7 +774,7 @@ def _lem_counting(seed: int) -> ClaimReport:
         if not has_cube_local_structure(Q, max_level):
             continue
         for u in range(Q.vertex_count):
-            masks = Q.graph.bfs_level_masks(u)
+            masks = Q.graph.bfs_level_masks(u, max_level)
             for level in range(1, max_level + 1):
                 size = masks[level].bit_count() if level < len(masks) else 0
                 checked += 1
@@ -790,7 +802,8 @@ def _thm_class_dist(seed: int) -> ClaimReport:
     for K in groups:
         Q = build_quotient(K)
         d = min_distance(K)
-        params_ok = {level: has_cube_local_structure(Q, level) for level in (1, 2, 3)}
+        params = quotient_params(Q, 3)
+        params_ok = {level: _cube_like(params, K.n, level) for level in (1, 2, 3)}
         for level in (1, 2, 3):
             checked += 1
             if params_ok[level] != (d >= 2 * level + 1):
@@ -821,7 +834,7 @@ def _cor_main_rect(seed: int) -> ClaimReport:
     for idx, K in enumerate(cases):
         d = min_distance(K)
         Q = build_quotient(K)
-        params = local_params(Q.graph, 3)
+        params = quotient_params(Q, 3)
         forward = (
             is_rectagraph(Q.graph)
             and params[0].valency == K.n
@@ -1130,7 +1143,8 @@ def _lem_loc_tn(seed: int) -> ClaimReport:
     witnesses = {}
     for K in cases:
         d = min_distance(K)
-        assert d >= 7
+        if d < 7:
+            raise PreconditionViolated(f"lem-loc-tn case {describe_group(K)} has d_K={d} < 7")
         Q = build_quotient(K)
         target = triangular_graph(K.n)
         pi2 = distance2_graph(Q.graph)
@@ -1372,7 +1386,7 @@ def _ex_valency_m(seed: int) -> ClaimReport:
         iso = len(set(mapping)) == Q.vertex_count and verify_isomorphism(
             qm, Q.graph, mapping
         )
-        params_ok = has_cube_local_structure_any_valency(Q, m)
+        params_ok = has_cube_local_structure(Q, m, valency=m)
         witnesses[f"(m,n)=({m},{n})"] = {
             "group_order": K.order,
             "d_K": d,
@@ -1382,18 +1396,6 @@ def _ex_valency_m(seed: int) -> ClaimReport:
         if not (d == 2 and iso and params_ok and K.order == 1 << (n - m)):
             return ClaimReport("ex-valency-m", FAILS, {"m": m, "n": n}, witnesses)
     return _report("ex-valency-m", True, {"cases": 3}, witnesses)
-
-
-def has_cube_local_structure_any_valency(Q: QuotientGraph, valency: int) -> bool:
-    params = local_params(Q.graph, valency)
-    if not params[0].is_regular or params[0].valency != valency:
-        return False
-    for i in range(1, valency + 1):
-        if params[i - 1].a_value not in (0, VACUOUS):
-            return False
-        if params[i].c_value not in (i, VACUOUS):
-            return False
-    return True
 
 
 @_claim(

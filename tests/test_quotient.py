@@ -17,6 +17,8 @@ from cubequot import (
     sphere,
 )
 from cubequot.errors import DimensionMismatch, DimensionTooLarge
+from cubequot.graph_core import UNDEFINED, VACUOUS, local_params
+from cubequot.quotient import normalizing_translations, quotient_params, translation_roots
 from cubequot.verify import random_subgroup, sample_subgroups
 
 from conftest import cube_graph
@@ -267,3 +269,97 @@ def test_class_dist_equivalence_random(seed):
     d = min_distance(K)
     for level in (1, 2, 3):
         assert has_cube_local_structure(Q, level) == (d >= 2 * level + 1)
+
+
+# ---------------------------------------------------------------------------
+# Translation roots and the truncated distance-parameter kernel
+# ---------------------------------------------------------------------------
+
+
+def full_params_oracle(G, max_level):
+    """c_i/a_i value sets from an untruncated BFS at every vertex."""
+    c_vals = [set() for _ in range(max_level + 1)]
+    a_vals = [set() for _ in range(max_level + 1)]
+    for u in range(G.n):
+        levels = G.bfs_level_masks(u)
+        for i in range(1, min(max_level, len(levels) - 1) + 1):
+            for v in range(G.n):
+                if (levels[i] >> v) & 1:
+                    c_vals[i].add((G.adj[v] & levels[i - 1]).bit_count())
+                    a_vals[i].add((G.adj[v] & levels[i]).bit_count())
+
+    def summarize(vals):
+        if not vals:
+            return VACUOUS
+        return vals.pop() if len(vals) == 1 else UNDEFINED
+
+    return [
+        (0, 0) if i == 0 else (summarize(c_vals[i]), summarize(a_vals[i]))
+        for i in range(max_level + 1)
+    ]
+
+
+def span_of(basis):
+    out = {0}
+    for v in basis:
+        out |= {x ^ v for x in out}
+    return out
+
+
+def oracle_groups():
+    groups = []
+    for n in range(4, 10):
+        groups.extend(sample_subgroups(n, 6, random.Random(100 + n)))
+    for n, supports in ((6, [(1, 2, 3)]), (7, [(1, 2), (3, 4, 5)]), (8, [tuple(range(1, 9))])):
+        gens = [CubeAutomorphism.translation_by(BitVector.from_support(n, s)) for s in supports]
+        groups.append(generate_group(gens))
+    groups.append(CubeGroup.trivial(5))
+    return groups
+
+
+@pytest.mark.parametrize("K", oracle_groups(), ids=repr)
+def test_rooted_params_match_untruncated_oracle(K):
+    Q = build_quotient(K)
+    roots = translation_roots(Q)
+    assert roots == sorted(set(roots)) and roots[0] == 0
+    rows = local_params(Q.graph, 4, roots=roots)
+    assert [(r.c_value, r.a_value) for r in rows] == full_params_oracle(Q.graph, 4)
+    assert rows == local_params(Q.graph, 4)
+
+
+def test_truncated_bfs_is_a_prefix(quaternion_group):
+    G = build_quotient(quaternion_group).graph
+    for u in (0, 5, 17):
+        full = G.bfs_level_masks(u)
+        for level in range(len(full) + 2):
+            assert G.bfs_level_masks(u, level) == full[: level + 1]
+
+
+def test_normalizing_translations_match_brute_force():
+    rng = random.Random(3)
+    for n in range(3, 9):
+        for K in sample_subgroups(n, 6, rng) + [CubeGroup.trivial(n)]:
+            T = {g.translation.bits for g in K if g.perm.is_identity()}
+            brute = {
+                y
+                for y in range(1 << n)
+                if all(g.perm.apply_bits(y) ^ y in T for g in K.generators)
+            }
+            basis = normalizing_translations(K)
+            assert len(span_of(basis)) == 1 << len(basis)  # independent
+            assert span_of(basis) == brute
+
+
+def test_translation_group_has_one_root(folded8):
+    for K in (folded8, CubeGroup.trivial(6)):
+        assert translation_roots(build_quotient(K)) == [0]
+
+
+def test_quaternion_roots_separate_sphere_sizes(quaternion_group):
+    # the spheres of radius 2 have sizes 13 and 14, so no automorphism maps
+    # orbit 0 to orbit 1 and they need separate roots
+    Q = build_quotient(quaternion_group)
+    roots = translation_roots(Q)
+    sizes = {len(sphere(Q, r, 2)) for r in roots}
+    assert sizes == {13, 14}
+    assert quotient_params(Q, 3) == local_params(Q.graph, 3)
