@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import BadDimension, NotBipartite, NotConnected
+from .errors import BadDimension, NotBipartite, NotConnected, PreconditionViolated
 
 
 class _Sentinel:
@@ -65,6 +65,19 @@ class SimpleGraph:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
         if labels is not None and len(labels) != n:
             raise ValueError("label count differs from vertex count")
+        self._fill(n, adj, labels)
+
+    @classmethod
+    def _unchecked(
+        cls, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None
+    ) -> "SimpleGraph":
+        """A graph the library derived from a valid one, built without the
+        checks of __init__; the symmetry check alone costs O(E * V / 64)."""
+        graph = object.__new__(cls)
+        graph._fill(n, adj, labels)
+        return graph
+
+    def _fill(self, n: int, adj: Sequence[int], labels: Optional[Sequence[str]]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
@@ -135,7 +148,7 @@ class SimpleGraph:
         labels = None
         if self.labels is not None:
             labels = [self.labels[v] for v in verts]
-        return SimpleGraph(len(verts), adj, labels)
+        return SimpleGraph._unchecked(len(verts), adj, labels)
 
     def relabeled(self, perm: Sequence[int]) -> "SimpleGraph":
         """Image under a vertex permutation: new index of v is perm[v]."""
@@ -202,7 +215,15 @@ class SimpleGraph:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """`json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\\n"`,
+        written directly: the json encoder runs in pure Python under indent."""
+        edges = [f"    [\n      {u},\n      {v}\n    ]" for u, v in self.edges()]
+        parts = ['{\n  "edges": ', _json_block(edges), ",\n"]
+        if self.labels is not None:
+            labels = ["    " + json.dumps(lbl) for lbl in self.labels]
+            parts += ['  "labels": ', _json_block(labels), ",\n"]
+        parts.append(f'  "n_vertices": {self.n}\n}}\n')
+        return "".join(parts)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimpleGraph":
@@ -237,6 +258,13 @@ class SimpleGraph:
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, m={self.edge_count})"
+
+
+def _json_block(items: list[str]) -> str:
+    """A list at indent level 1 of `json.dumps(..., indent=2)`, items pre-rendered."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n  ]"
 
 
 @dataclass(frozen=True)
@@ -280,6 +308,8 @@ def local_params(
     and preserves both counts, so the result is the same. For quotients of
     the cube, `quotient.translation_roots` gives such a set.
     """
+    if max_level < 0:
+        raise PreconditionViolated(f"max_level must be non-negative, got {max_level}")
     if G.n == 0:
         raise ValueError("graph is empty")
     degs = G.degrees()
@@ -330,7 +360,7 @@ def distance2_graph(G: SimpleGraph) -> SimpleGraph:
         mask &= ~G.adj[v]
         mask &= ~(1 << v)
         adj.append(mask)
-    return SimpleGraph(G.n, adj, G.labels)
+    return SimpleGraph._unchecked(G.n, adj, G.labels)
 
 
 def bipartite_parts(G: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -396,7 +426,7 @@ def bipartite_double(G: SimpleGraph) -> SimpleGraph:
     labels = None
     if G.labels is not None:
         labels = [f"{lbl}|0" for lbl in G.labels] + [f"{lbl}|1" for lbl in G.labels]
-    return SimpleGraph(2 * n, adj, labels)
+    return SimpleGraph._unchecked(2 * n, adj, labels)
 
 
 def is_locally(G: SimpleGraph, target: SimpleGraph) -> bool:

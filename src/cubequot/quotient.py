@@ -1,13 +1,16 @@
 """Orbit partitions of the n-cube under a subgroup and the quotient graph.
 
-Vertices of Q_n are the integers 0..2^n-1. Orbits are computed by sweeping
-vertices in ascending order and marking whole orbits, so the representative
-of an orbit is its numerically smallest vertex and orbit ids are sorted by
-representative; vertex labels of the quotient graph are the representative
-bit strings (coordinate 1 leftmost). Distinct orbits are adjacent whenever
-some member of one is cube-adjacent to a member of the other; loops are
-discarded. Semiregularity is not required, so degenerate quotients can be
-built and inspected.
+Vertices of Q_n are the integers 0..2^n-1. The representative of an orbit
+is its numerically smallest vertex, found for every vertex at once as the
+minimum over the elements g of K of the image tables v -> g(v); orbit ids
+are sorted by representative, and vertex labels of the quotient graph are
+the representative bit strings (coordinate 1 leftmost). Distinct orbits are
+adjacent whenever some member of one is cube-adjacent to a member of the
+other; loops are discarded. K acts by cube automorphisms, so the
+neighbours of g(r) lie in the orbits of the neighbours of r, and the
+adjacency is read off the n cube neighbours of each representative alone.
+Semiregularity is not required, so degenerate quotients can be built and
+inspected.
 
 A translation (y, id) that normalizes K maps orbits to orbits, so it acts
 on the quotient as a graph automorphism. `translation_roots` picks one
@@ -24,6 +27,10 @@ from .errors import DimensionMismatch, DimensionTooLarge, Unsupported
 from .graph_core import LocalParams, SimpleGraph, bits_of, local_params
 
 MAX_QUOTIENT_DIMENSION = 20
+
+# Image-table entries build_quotient holds at once (512 KiB): several
+# elements per numpy call on small cubes, a bounded buffer on large ones.
+_TABLE_ENTRIES = 1 << 16
 
 
 class QuotientGraph:
@@ -59,8 +66,29 @@ class QuotientGraph:
         return f"QuotientGraph(n={self.n}, |K|={self.group.order}, vertices={len(self.reps)})"
 
 
+def image_tables(elements: Sequence[tuple[int, Sequence[int]]]):
+    """Numpy array whose row k is the table v -> g_k(v), for 0 <= v < 2^n.
+
+    Element g_k is given as its pair (translation bits y, images): g_k(v) is
+    y xor v with bit j moved to bit images[j].
+    """
+    # numpy is imported on first use: importing it here at module level, ahead
+    # of verify, raised the peak memory of `import cubequot` by about 4 MB.
+    import numpy as np
+
+    moved = np.left_shift(1, np.array([images for _, images in elements], dtype=np.int64))
+    n = moved.shape[1]
+    table = np.empty((len(elements), 1 << n), dtype=np.int64)
+    table[:, 0] = [y for y, _ in elements]
+    for j in range(n):
+        table[:, 1 << j : 2 << j] = table[:, : 1 << j] ^ moved[:, j, None]
+    return table
+
+
 def build_quotient(K: CubeGroup) -> QuotientGraph:
     """Quotient graph of Q_n by K, deterministic orbit ids."""
+    import numpy as np
+
     n = K.n
     if n > MAX_QUOTIENT_DIMENSION:
         raise DimensionTooLarge(
@@ -68,33 +96,27 @@ def build_quotient(K: CubeGroup) -> QuotientGraph:
         )
     if K.elements is None:
         raise Unsupported("quotient construction needs the group element list")
-    size = 1 << n
-    actions = [(g.translation.bits, g.perm.images) for g in K.elements]
-    orbit_index = [-1] * size
-    reps: list[int] = []
-    for v in range(size):
-        if orbit_index[v] != -1:
-            continue
-        oid = len(reps)
-        reps.append(v)
-        for ybits, images in actions:
-            w = ybits
-            m = v
-            while m:
-                lsb = m & -m
-                w ^= 1 << images[lsb.bit_length() - 1]
-                m ^= lsb
-            orbit_index[w] = oid
-    adj = [0] * len(reps)
-    for v in range(size):
-        a = orbit_index[v]
-        for i in range(n):
-            b = orbit_index[v ^ (1 << i)]
-            if a != b:
-                adj[a] |= 1 << b
-    labels = [BitVector(n, r).to_string() for r in reps]
-    graph = SimpleGraph(len(reps), adj, labels)
-    return QuotientGraph(n, K, reps, orbit_index, graph)
+    elements = [(g.translation.bits, g.perm.images) for g in K.elements]
+    step = max(1, _TABLE_ENTRIES >> n)
+    vertices = np.arange(1 << n, dtype=np.int64)
+    rep = vertices
+    for i in range(0, len(elements), step):
+        rep = np.minimum(rep, image_tables(elements[i : i + step]).min(axis=0))
+    is_rep = rep == vertices
+    reps = np.flatnonzero(is_rep)
+    orbit_index = (np.cumsum(is_rep) - 1)[rep]
+    neighbours = orbit_index[reps[:, None] ^ (1 << np.arange(n))]
+    adj = []
+    for a, row in enumerate(neighbours.tolist()):
+        mask = 0
+        for b in row:
+            mask |= 1 << b
+        adj.append(mask & ~(1 << a))
+    reps = reps.tolist()
+    width = f"0{n}b"
+    labels = [format(r, width)[::-1] for r in reps]  # BitVector(n, r).to_string(), unvalidated
+    graph = SimpleGraph._unchecked(len(reps), adj, labels)
+    return QuotientGraph(n, K, reps, orbit_index.tolist(), graph)
 
 
 def natural_map(Q: QuotientGraph, v: BitVector) -> int:

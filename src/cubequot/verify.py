@@ -63,6 +63,7 @@ from .iso_aut import (
 from .quotient import (
     QuotientGraph,
     build_quotient,
+    image_tables,
     natural_covering,
     quotient_params,
     sphere,
@@ -254,7 +255,7 @@ def brute_force_min_distance(K: CubeGroup):
     vs = np.arange(1 << n, dtype=np.int64)
     best = None
     for g in K.non_identity():
-        moved = _perm_image_table(n, g.perm.images) ^ g.translation.bits
+        moved = image_tables([(g.translation.bits, g.perm.images)])[0]
         d = int(pc[vs ^ moved].min())
         best = d if best is None else min(best, d)
     return best
@@ -275,14 +276,6 @@ def _popcount_table(n: int) -> np.ndarray:
             pc += (vs >> i) & 1
         _POP_CACHE[n] = pc
     return _POP_CACHE[n]
-
-
-def _perm_image_table(n: int, images: Sequence[int]) -> np.ndarray:
-    vs = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        out |= ((vs >> i) & 1) << images[i]
-    return out
 
 
 def _cycle_data(images: Sequence[int]) -> tuple[int, list[int]]:

@@ -121,6 +121,14 @@ def test_params_cube(tmp_path, capsys):
     assert [lvl["c"] for lvl in data["levels"][1:]] == [1, 2, 3, 4]
 
 
+def test_params_negative_level_is_typed_error(tmp_path, capsys):
+    path = tmp_path / "k.grp"
+    path.write_text("n=6\nx=111111 perm=id\n", encoding="utf-8")
+    code, out, err = run_cli(["params", str(path), "--max-level", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:PRECONDITION_VIOLATED:") and err.count("\n") == 1
+
+
 def test_aut_folded6(tmp_path, capsys):
     path = tmp_path / "folded6.grp"
     path.write_text("n=6\nx=111111 perm=id\n", encoding="utf-8")

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubequot import (
@@ -56,6 +56,33 @@ def test_json_round_trip_and_determinism():
     assert text1 == text2
     data = json.loads(text1)
     assert data["n_vertices"] == 8 and len(data["edges"]) == 12
+
+
+@st.composite
+def labelled_graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=30)) if u != v] if n else []
+    label = st.one_of(st.none(), st.just(""), st.text(), st.sampled_from(['"', "\\", "é", "Δ\n"]))
+    labels = draw(st.one_of(st.none(), st.lists(label, min_size=n, max_size=n)))
+    return SimpleGraph.from_edges(n, edges, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_graphs())
+@example(SimpleGraph(0, []))
+@example(SimpleGraph(0, [], []))
+@example(SimpleGraph(3, [0, 0, 0], ["", None, '"q"']))
+def test_to_json_matches_json_dumps(g):
+    assert g.to_json() == json.dumps(g.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_graphs(), st.randoms(use_true_random=False))
+def test_derived_graphs_pass_public_validation(g, rng):
+    subset = [v for v in range(g.n) if rng.random() < 0.6]
+    for h in (g.induced(subset), distance2_graph(g), bipartite_double(g)):
+        assert SimpleGraph(h.n, h.adj, h.labels) == h
 
 
 def test_dot_output_contains_edges():

@@ -10,6 +10,8 @@ from cubequot import (
     BitVector,
     CubeAutomorphism,
     CubeGroup,
+    Permutation,
+    SimpleGraph,
     build_quotient,
     generate_group,
     min_distance,
@@ -86,6 +88,68 @@ def test_natural_map_constant_on_orbits(quaternion_group):
     assert natural_map(Q, BitVector.zero(8)) == Q.orbit_index[0]
     with pytest.raises(DimensionMismatch):
         natural_map(Q, BitVector.zero(5))
+
+
+def sweep_oracle(K):
+    """The ascending pure-Python orbit sweep: reps, orbit ids, adjacency, labels."""
+    n = K.n
+    orbit_index = [-1] * (1 << n)
+    reps = []
+    for v in range(1 << n):
+        if orbit_index[v] != -1:
+            continue
+        for g in K.elements:
+            orbit_index[g.act_bits(v)] = len(reps)
+        reps.append(v)
+    adj = [0] * len(reps)
+    for v in range(1 << n):
+        a = orbit_index[v]
+        for i in range(n):
+            b = orbit_index[v ^ (1 << i)]
+            if a != b:
+                adj[a] |= 1 << b
+    labels = [BitVector(n, r).to_string() for r in reps]
+    return reps, orbit_index, adj, labels
+
+
+def sweep_oracle_groups():
+    groups = []
+    for n in range(3, 11):
+        groups.extend(sample_subgroups(n, 4, random.Random(200 + n)))
+        groups.append(CubeGroup.trivial(n))
+    # the last one, of order 256, spans several batches of image tables
+    even9 = [(i, 9) for i in range(1, 9)]
+    translations = (
+        (3, [(1, 2, 3)]),
+        (6, [(1, 2), (3, 4, 5)]),
+        (9, [(1, 2, 3, 4, 5, 6, 7)]),
+        (9, even9),
+    )
+    for n, supports in translations:
+        gens = [CubeAutomorphism.translation_by(BitVector.from_support(n, s)) for s in supports]
+        groups.append(generate_group(gens))
+    def element(n, cycles, support=()):
+        return CubeAutomorphism(BitVector.from_support(n, support), Permutation.from_cycles(n, cycles))
+
+    # not semiregular: fixed vertices, and orbits {v, v + e_1} that are cube edges
+    groups.append(generate_group([element(5, [(1, 2)])]))
+    groups.append(generate_group([element(5, [], [1])]))
+    groups.append(generate_group([element(6, [(2, 3)], [1]), element(6, [(4, 5, 6)])]))
+    # 1440 elements, not semiregular, in several batches of image tables
+    s6 = [element(8, [(1, 2)]), element(8, [(1, 2, 3, 4, 5, 6)]), element(8, [], [7, 8])]
+    groups.append(generate_group(s6))
+    return groups
+
+
+@pytest.mark.parametrize("K", sweep_oracle_groups(), ids=repr)
+def test_build_quotient_matches_sweep_oracle(K):
+    Q = build_quotient(K)
+    reps, orbit_index, adj, labels = sweep_oracle(K)
+    assert list(Q.reps) == reps
+    assert list(Q.orbit_index) == orbit_index
+    assert list(Q.graph.adj) == adj
+    assert list(Q.graph.labels) == labels
+    assert SimpleGraph(Q.graph.n, Q.graph.adj, Q.graph.labels) == Q.graph
 
 
 def test_dimension_cap():
