@@ -21,7 +21,6 @@ All types are immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from typing import Iterable, Iterator, Optional, Sequence
@@ -43,11 +42,8 @@ DEFAULT_GROUP_CAP = 2**20
 
 MAX_DIMENSION = 32
 
-# Largest centralizer the involution normalizer tier will enumerate.
-_CENTRALIZER_ENUM_CAP = 4_000_000
-
-# Brute-force normalizer tier bound on |Aut(Q_n)| = 2^n n!.
-_BRUTE_NORMALIZER_CAP = 10**8
+# The coordinate search of `normalizer` (|K| > 2) runs while 2^n n! <= this.
+_COSET_SEARCH_CAP = 10**8
 
 
 def _check_dimension(n: int) -> None:
@@ -108,11 +104,6 @@ class BitVector:
 
     def to_string(self) -> str:
         return format(self.bits, f"0{self.n}b")[::-1]
-
-    def permuted(self, perm: "Permutation") -> "BitVector":
-        if perm.n != self.n:
-            raise DimensionMismatch("vector and permutation dimensions differ")
-        return BitVector(self.n, perm.apply_bits(self.bits))
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
@@ -410,9 +401,6 @@ class CubeGroup:
     def non_identity(self) -> Iterator[CubeAutomorphism]:
         return (g for g in self if not g.is_identity())
 
-    def is_translation_group(self) -> bool:
-        return all(g.is_translation() for g in self.generators)
-
     def same_group_as(self, other: "CubeGroup") -> bool:
         return self.n == other.n and self._keys() == other._keys()
 
@@ -492,7 +480,14 @@ def min_distance(K: CubeGroup) -> float | int:
     """Minimum distance of K; INFINITY for the trivial group."""
     if K.is_trivial:
         return INFINITY
-    return min(element_min_distance(g) for g in K.non_identity())
+    best = INFINITY
+    for g in K.non_identity():
+        d = element_min_distance(g)
+        if d < best:
+            if d == 0:
+                return 0  # nothing is smaller; the rest of K need not be scanned
+            best = d
+    return best
 
 
 def is_even(K: CubeGroup) -> bool:
@@ -627,194 +622,302 @@ def _normalizer_trivial(n: int, even: bool, cap: int) -> CubeGroup:
     return CubeGroup(n, gens, elements, order)
 
 
-def _normalizer_involution(K: CubeGroup, even: bool, cap: int) -> CubeGroup:
-    """Normalizer of K = {1, (x, sigma)}: the centralizer of the involution.
+# Translations over F_2. A vector is an int; a subspace is held as an echelon
+# basis, a dict from leading bit to vector.
 
-    (y, tau) normalizes K iff tau commutes with sigma and
-    y^sigma xor y = x^tau xor x. Solutions in y, when they exist, form a
-    coset of Fix(sigma) = {y : y^sigma = y}, so the centralizer of sigma is
-    enumerated (it is Sym(fix) x (S_2 wr S_m) for an involution) and each
-    tau contributes either nothing or a full coset.
+
+def _reduce(v: int, pivots: dict[int, int]) -> int:
+    """v modulo the span of pivots (leading bit -> vector), pivot bits cleared."""
+    for p in sorted(pivots, reverse=True):
+        if (v >> p) & 1:
+            v ^= pivots[p]
+    return v
+
+
+def _add_to_span(v: int, pivots: dict[int, int]) -> bool:
+    """Extend pivots by v; False when v already lies in their span."""
+    v = _reduce(v, pivots)
+    if v:
+        pivots[v.bit_length() - 1] = v
+    return bool(v)
+
+
+def _translation_pivots(K: CubeGroup) -> dict[int, int]:
+    """An echelon basis of T, the subspace of translations in K."""
+    if K.elements is None:
+        raise Unsupported("the translation subgroup needs the group element list")
+    pivots: dict[int, int] = {}
+    for g in K.elements:
+        if g.perm.is_identity():
+            _add_to_span(g.translation.bits, pivots)
+    return pivots
+
+
+def _translation_system(
+    n: int, perms: Sequence[Sequence[int]], t_pivots: dict[int, int]
+) -> dict[int, int]:
+    """Echelon rows of the F_2-linear map f(y) = (y^s xor y mod T for s in perms).
+
+    Row i is (f(e_i), e_i), packed as f(e_i) << n | e_i with the block of
+    perms[j] at bits j*n..j*n+n-1 of f(e_i). Rows whose leading bit is below n
+    have a vanished f-part and span the kernel of f; reducing c << n by all
+    rows leaves y with f(y) = c in its low n bits, or a non-zero high part
+    when c is not in the image of f.
+    """
+    pivots: dict[int, int] = {}
+    for i in range(n):
+        image = 0
+        for j, images in enumerate(perms):
+            image |= _reduce((1 << images[i]) ^ (1 << i), t_pivots) << (j * n)
+        _add_to_span(image << n | 1 << i, pivots)
+    return pivots
+
+
+def normalizing_translations(K: CubeGroup) -> list[int]:
+    """A basis of Y_0 = {y : y^s xor y in T for every generator (x, s) of K}.
+
+    T is the subspace of translations in K. Conjugating (x, s) by (y, id)
+    gives (x xor y^s xor y, s), and (x xor z, s) lies in K iff z lies in T,
+    so Y_0 is the subspace of translations that normalize K. The condition
+    is linear in y; one Gaussian elimination over F_2 in the n unknowns
+    y_1..y_n solves it, with no loop over the 2^n translations.
     """
     n = K.n
-    k0 = next(g for g in K if not g.is_identity())
-    x = k0.translation.bits
-    sigma = k0.perm
-    builder = _NormalizerBuilder(n)
+    perms = [g.perm.images for g in K.generators if not g.perm.is_identity()]
+    pivots = _translation_system(n, perms, _translation_pivots(K))
+    return [v for p, v in pivots.items() if p < n]
 
-    fixed0 = [j for j in range(n) if sigma.images[j] == j]
-    cycles0 = [tuple(i - 1 for i in c) for c in sigma.cycles()]
-    m = len(cycles0)
 
-    # Kernel part: (y, id) with y fixed by sigma, restricted to even weight
-    # when asked for the even ambient group.
-    kernel_basis = [1 << j for j in fixed0] + [
-        (1 << a) | (1 << b) for a, b in cycles0
+class _LiftSolver:
+    """The translations y for which (y, tau) normalizes K, for a given tau.
+
+    Conjugating a generator (x, s) of K by (y, tau) gives
+    (y^s' xor y xor x^tau, s') with s' = tau^-1 s tau. The elements of K over
+    s' form a coset x_s' + T, so the conjugate lies in K iff s' is a
+    coordinate part of K and (s' + 1) y = x^tau xor x_s' modulo T. For a
+    fixed tau this is one affine system over F_2; its solutions, when there
+    are any, form a coset y_tau + Y_0.
+    """
+
+    def __init__(self, K: CubeGroup):
+        self.n = K.n
+        self.t_pivots = _translation_pivots(K)
+        self.fibres: dict[tuple[int, ...], int] = {}
+        for g in K:
+            self.fibres.setdefault(g.perm.images, g.translation.bits)
+        self.gens = [(g.translation.bits, g.perm.images) for g in K.generators]
+        # echelon rows per tuple of conjugated coordinate parts (s'_j)
+        self._systems: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
+
+    def lift(self, tau: Permutation) -> Optional[int]:
+        """Some y with (y, tau) in N(K), or None when there is none."""
+        n = self.n
+        t = tau.images
+        tinv = tau.inverse().images
+        perms = []
+        target = 0
+        for j, (x, s) in enumerate(self.gens):
+            sp = tuple([t[s[k]] for k in tinv])
+            x_sp = self.fibres.get(sp)
+            if x_sp is None:
+                return None
+            perms.append(sp)
+            target |= _reduce(tau.apply_bits(x) ^ x_sp, self.t_pivots) << (j * n)
+        key = tuple(perms)
+        system = self._systems.get(key)
+        if system is None:
+            system = self._systems[key] = _translation_system(n, perms, self.t_pivots)
+        y = _reduce(target << n, system)
+        return None if y >> n else y
+
+
+def _involution_coordinate_generators(
+    n: int, x: int, sigma: Permutation
+) -> tuple[list[Permutation], int]:
+    """Generators of P, the coordinate parts of N = N({1, (x, sigma)}), and |N|.
+
+    P is Sym(fixed coordinates with x=1) x Sym(fixed coordinates with x=0)
+    x (S_2 wr S_m) on the m 2-cycles of sigma: tau must commute with sigma,
+    and x^tau xor x must lie in the image of sigma + 1, which vanishes on
+    fixed coordinates (x is constant on each 2-cycle already). Generators:
+    adjacent transpositions inside each fixed block, one swap inside the
+    first 2-cycle, and swaps of consecutive 2-cycles. Y_0 is Fix(sigma)
+    when sigma is not the identity, and all of F_2^n when it is; either way
+    |Y_0| = 2^(a+b+m), with a and b the numbers of fixed coordinates with
+    x=0 and x=1.
+    """
+    s = sigma.images
+    ones = [j for j in range(n) if s[j] == j and (x >> j) & 1]
+    zeros = [j for j in range(n) if s[j] == j and not (x >> j) & 1]
+    cycles = [(j, s[j]) for j in range(n) if j < s[j]]
+    swaps = [[(a, b)] for block in (ones, zeros) for a, b in zip(block, block[1:])]
+    swaps += [[cycles[0]]] if cycles else []
+    swaps += [[(a, c), (b, d)] for (a, b), (c, d) in zip(cycles, cycles[1:])]
+    taus = []
+    for pairs in swaps:
+        images = list(range(n))
+        for a, b in pairs:
+            images[a], images[b] = b, a
+        taus.append(Permutation(images))
+    a, b, m = len(zeros), len(ones), len(cycles)
+    order = (1 << (a + b + 2 * m)) * math.factorial(a) * math.factorial(b) * math.factorial(m)
+    return taus, order
+
+
+def _admissible_coordinate_parts(K: CubeGroup) -> list[Permutation]:
+    """Every tau that passes the y-free tests of conjugating K's generators.
+
+    For a generator (x, s), tau^-1 s tau must lie in pi(K), the set of
+    coordinate parts of K; when s = id the conjugate is (x^tau, id), so x^tau
+    must also lie in T, the translations in K. tau is built one coordinate at
+    a time. For each generator the search keeps the p in pi(K) that agree
+    with p(tau(j)) = tau(s(j)) (that is, p = tau^-1 s tau) on the
+    coordinates assigned so far, or the t in T with t_tau(j) = x_j, and backs
+    up as soon as some generator has none left. While s(j) is unassigned,
+    p(tau(j)) must still be a free image.
+    """
+    n = K.n
+    parts = list(dict.fromkeys(g.perm.images for g in K))
+    perm_gens = list(dict.fromkeys(g.perm.images for g in K.generators if not g.perm.is_identity()))
+    translations = [g.translation.bits for g in K if g.perm.is_identity()]
+    trans_gens = [g.translation.bits for g in K.generators if g.perm.is_identity()]
+    # checks[g][i]: the j whose constraint is tested once tau(i) is assigned:
+    # j = i, and the earlier j with s(j) = i
+    checks = [
+        [[j for j in range(n) if j == i or j < i == s[j]] for i in range(n)] for s in perm_gens
     ]
-    if even:
-        ker_even = [bm for bm in kernel_basis if bm.bit_count() % 2 == 0]
-        odd = [bm for bm in kernel_basis if bm.bit_count() % 2 == 1]
-        ker_even += [odd[i] ^ odd[i + 1] for i in range(len(odd) - 1)]
-        kernel_basis = ker_even
-    for bm in kernel_basis:
-        builder.add(CubeAutomorphism.translation_by(BitVector(n, bm)))
+    tau = [0] * n
+    used = [False] * n
+    found: list[Permutation] = []
 
-    if sigma.is_identity():
-        # Translation subgroup: tau must stabilize x; generators of the
-        # stabilizer are adjacent transpositions within support and within
-        # the complement.
-        supp = [j + 1 for j in range(n) if (x >> j) & 1]
-        rest = [j + 1 for j in range(n) if not (x >> j) & 1]
-        for block in (supp, rest):
-            for a, b in zip(block, block[1:]):
-                builder.add(
-                    CubeAutomorphism(BitVector.zero(n), Permutation.transposition(n, a, b))
-                )
-        expected = (1 << (n - 1 if even else n)) * math.factorial(
-            len(supp)
-        ) * math.factorial(len(rest))
-    else:
-        csize = (
-            math.factorial(len(fixed0)) * math.factorial(m) * (1 << m)
-        )
-        if csize > _CENTRALIZER_ENUM_CAP:
-            raise Unsupported(
-                f"centralizer of the coordinate permutation too large to enumerate ({csize})"
-            )
-        count = 0
-        for fperm in itertools.permutations(fixed0):
-            fmap = dict(zip(fixed0, fperm))
-            for cperm in itertools.permutations(range(m)):
-                for flips in range(1 << m):
-                    images = [0] * n
-                    for j, fj in fmap.items():
-                        images[j] = fj
-                    for ci, (a, b) in enumerate(cycles0):
-                        ta, tb = cycles0[cperm[ci]]
-                        if (flips >> ci) & 1:
-                            ta, tb = tb, ta
-                        images[a], images[b] = ta, tb
-                    tau = Permutation(images)
-                    z = tau.apply_bits(x) ^ x
-                    # Solvability of y^sigma xor y = z: z must vanish on the
-                    # fixed coordinates and be constant on every 2-cycle.
-                    if z & sigma.fixed_mask():
-                        continue
-                    ok = True
-                    y0 = 0
-                    for a, b in cycles0:
-                        za, zb = (z >> a) & 1, (z >> b) & 1
-                        if za != zb:
-                            ok = False
-                            break
-                        if za:
-                            y0 |= 1 << a
-                    if not ok:
-                        continue
-                    if even and y0.bit_count() % 2 == 1:
-                        if fixed0:
-                            y0 |= 1 << fixed0[0]
-                        else:
-                            continue  # no even solution for this tau
-                    count += 1
-                    builder.add(CubeAutomorphism(BitVector(n, y0), tau))
-        expected = count * (1 << len(kernel_basis))
-
-    order = builder.order()
-    if expected is not None and order != expected:
-        raise InvariantViolated(f"normalizer order {order}, centralizer count gives {expected}")
-    gens = tuple(builder.gens)
-    elements = None
-    if order <= cap:
-        group = generate_group(gens, cap=order + 1, n=n) if gens else CubeGroup.trivial(n)
-        if group.order != order:
-            raise InvariantViolated(f"normalizer closure has order {group.order}, expected {order}")
-        elements = group.elements
-    return CubeGroup(n, gens, elements, order)
-
-
-def _normalizer_brute(K: CubeGroup, even: bool, cap: int) -> CubeGroup:
-    """Scan of the full ambient group, factored through coordinate parts.
-
-    For fixed tau the conjugate of (x, s) by (y, tau) is
-    (y^{t^-1 s t} xor x^tau xor y, t^-1 s t), so tau is rejected outright
-    unless every conjugated coordinate permutation occurs in K, and the
-    remaining conditions are checked per translation y (skipping the y loop
-    entirely when all conditions are y-free).
-    """
-    n = K.n
-    builder = _NormalizerBuilder(n)
-    perm_fibers: dict[tuple[int, ...], set[int]] = {}
-    for g in K:
-        perm_fibers.setdefault(g.perm.images, set()).add(g.translation.bits)
-    ks = [g for g in K if not g.is_identity()]
-    y_range = range(1 << n)
-    for tau_images in itertools.permutations(range(n)):
-        tau = Permutation(tau_images)
-        tinv = tau.inverse()
-        conds = []
-        ok = True
-        for k in ks:
-            sp = tinv.compose(k.perm).compose(tau)
-            fiber = perm_fibers.get(sp.images)
-            if fiber is None:
-                ok = False
-                break
-            xt = tau.apply_bits(k.translation.bits)
-            conds.append((sp, xt, fiber))
-        if not ok:
-            continue
-        y_free = all(sp.is_identity() for sp, _, _ in conds)
-        if y_free:
-            # Every (even) y works for this tau, or none does.
-            if all(xt in fiber for _, xt, fiber in conds):
-                builder.add(CubeAutomorphism(BitVector.zero(n), tau))
-                if tau.is_identity():
-                    for t in standard_generators(n, even=even):
-                        if t.is_translation():
-                            builder.add(t)
-            continue
-        for y in y_range:
-            if even and y.bit_count() % 2 == 1:
+    def search(i: int, perm_cands: list[list[tuple[int, ...]]], trans_cands: list[list[int]]):
+        if i == n:
+            found.append(Permutation(tau))
+            return
+        for v in range(n):
+            if used[v]:
                 continue
-            good = True
-            for sp, xt, fiber in conds:
-                if sp.apply_bits(y) ^ y ^ xt not in fiber:
-                    good = False
+            tau[i] = v
+            used[v] = True
+            narrowed_p = []
+            for s, check, ps in zip(perm_gens, checks, perm_cands):
+                keep = [
+                    p
+                    for p in ps
+                    if all(
+                        p[tau[j]] == tau[s[j]] if s[j] <= i else not used[p[tau[j]]]
+                        for j in check[i]
+                    )
+                ]
+                if not keep:
                     break
-            if good:
-                builder.add(CubeAutomorphism(BitVector(n, y), tau))
-    order = builder.order()
-    gens = tuple(builder.gens)
-    elements = None
-    if order <= cap:
-        group = generate_group(gens, cap=order + 1, n=n) if gens else CubeGroup.trivial(n)
-        if group.order != order:
-            raise InvariantViolated(f"normalizer closure has order {group.order}, expected {order}")
-        elements = group.elements
-    return CubeGroup(n, gens, elements, order)
+                narrowed_p.append(keep)
+            else:
+                narrowed_t = []
+                for x, ts in zip(trans_gens, trans_cands):
+                    keep = [t for t in ts if (t >> v) & 1 == (x >> i) & 1]
+                    if not keep:
+                        break
+                    narrowed_t.append(keep)
+                else:
+                    search(i + 1, narrowed_p, narrowed_t)
+            used[v] = False
+
+    search(0, [parts] * len(perm_gens), [translations] * len(trans_gens))
+    return found
+
+
+def _even_subgroup(
+    n: int, gens: Sequence[CubeAutomorphism], t: CubeAutomorphism
+) -> _NormalizerBuilder:
+    """The even elements of <gens>, for an odd element t of <gens>.
+
+    Translation parity is a homomorphism onto Z_2, so the even elements form
+    a subgroup of index 2 with coset representatives 1 and t. Its Schreier
+    generators are s and t s t^-1 for even s, and s t^-1 and t s for odd s.
+    """
+    builder = _NormalizerBuilder(n)
+    t_inv = t.inverse()
+    # the s and s t^-1 go in first: in that order the even normalizers of
+    # perfbench's symmetry groups (n = 8, 10) built about 30% faster
+    firsts = [s if s.is_even() else s.compose(t_inv) for s in gens]
+    seconds = [t.compose(s).compose(t_inv) if s.is_even() else t.compose(s) for s in gens]
+    for g in firsts + seconds:
+        builder.add(g)
+    return builder
 
 
 def normalizer(K: CubeGroup, ambient: str = "full", cap: int = DEFAULT_GROUP_CAP) -> CubeGroup:
-    """N = {g in ambient : g^-1 K g = K} as a CubeGroup.
+    """N = {g in ambient : g^-1 K g = K} as a CubeGroup, built from generators.
 
-    Two tiers: a factored scan of the whole ambient group while
-    2^n n! <= 10^8, and a constraint tier for |K| <= 2 built from the
-    centralizer of the involution. Anything else raises Unsupported.
-    The element list is materialized only when the order fits the cap.
+    The normalizing translations Y_0 are the kernel of the coordinate-part
+    map N -> S_n, so N is generated by a basis of Y_0 and one lift (y, tau)
+    of each generator tau of its image P, and |N| = |Y_0| |P|. Two routes
+    find P:
+
+    * |K| = 2, K = {1, (x, sigma)}: P has a closed form (see
+      `_involution_coordinate_generators`), with O(n) generators, for any n.
+    * |K| > 2 while 2^n n! <= 10^8: a backtrack over tau, pruned by the
+      coordinate parts and the translations of K
+      (`_admissible_coordinate_parts`), with one lift per tau that admits
+      one; Unsupported beyond that bound.
+
+    The trivial group has the ambient group's standard generators. Lifts
+    solve one F_2 system per tau (`_LiftSolver`). The even ambient is the
+    kernel of translation parity on N, one index-2 step from N's generators.
+    Each route checks the order of the Schreier-Sims chain against its count
+    and raises InvariantViolated on a mismatch. The element list is
+    materialized only when the order fits the cap.
     """
     if ambient not in ("full", "even"):
         raise ValueError(f"ambient must be 'full' or 'even', got {ambient!r}")
     even = ambient == "even"
+    n = K.n
     if K.is_trivial:
-        return _normalizer_trivial(K.n, even, cap)
+        return _normalizer_trivial(n, even, cap)
     if K.order == 2:
-        return _normalizer_involution(K, even, cap)
-    if (1 << K.n) * math.factorial(K.n) <= _BRUTE_NORMALIZER_CAP:
-        return _normalizer_brute(K, even, cap)
-    raise Unsupported(
-        f"normalizer for |K|={K.order} at n={K.n} exceeds both computation tiers"
-    )
+        k0 = next(g for g in K if not g.is_identity())
+        taus, expected = _involution_coordinate_generators(n, k0.translation.bits, k0.perm)
+    elif (1 << n) * math.factorial(n) <= _COSET_SEARCH_CAP:
+        taus, expected = _admissible_coordinate_parts(K), None
+    else:
+        raise Unsupported(
+            f"normalizer for |K|={K.order} at n={n}: the coordinate search covers |K| > 2 "
+            f"only while 2^n n! <= {_COSET_SEARCH_CAP}"
+        )
+    builder = _NormalizerBuilder(n)
+    solver = _LiftSolver(K)
+    lifts = 0
+    for tau in taus:
+        y = solver.lift(tau)
+        if y is None:
+            if expected is not None:
+                raise InvariantViolated(f"coordinate part {tau} of the normalizer has no lift")
+            continue
+        lifts += 1
+        builder.add(CubeAutomorphism(BitVector(n, y), tau))
+    y0_basis = normalizing_translations(K)
+    for y in y0_basis:
+        builder.add(CubeAutomorphism.translation_by(BitVector(n, y)))
+    if expected is None:
+        expected = (1 << len(y0_basis)) * lifts
+    order = builder.order()
+    if order != expected:
+        raise InvariantViolated(f"normalizer order {order}, the count gives {expected}")
+    odd = next((g for g in builder.gens if not g.is_even()), None)
+    if even and odd is not None:
+        builder = _even_subgroup(n, builder.gens, odd)
+        if 2 * builder.order() != order:
+            raise InvariantViolated(f"even normalizer order {builder.order()}, full order {order}")
+        order = builder.order()
+    gens = tuple(builder.gens)
+    elements = None
+    if order <= cap:
+        group = generate_group(gens, cap=order + 1, n=n) if gens else CubeGroup.trivial(n)
+        if group.order != order:
+            raise InvariantViolated(f"normalizer closure has order {group.order}, expected {order}")
+        elements = group.elements
+    return CubeGroup(n, gens, elements, order)
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,6 @@ class SimpleGraph:
             adj[v] |= 1 << u
         return cls(n, adj, labels)
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.adj[v]
-
     def neighbors(self, v: int) -> list[int]:
         return list(bits_of(self.adj[v]))
 

@@ -22,7 +22,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cube_symmetry import BitVector, CubeGroup
+from .cube_symmetry import (
+    BitVector,
+    CubeGroup,
+    _add_to_span,
+    _translation_pivots,
+    normalizing_translations,
+)
 from .errors import DimensionMismatch, DimensionTooLarge, Unsupported
 from .graph_core import LocalParams, SimpleGraph, bits_of, local_params
 
@@ -58,9 +64,6 @@ class QuotientGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.reps)
-
-    def orbit_of_zero(self) -> int:
-        return self.orbit_index[0]
 
     def __repr__(self) -> str:
         return f"QuotientGraph(n={self.n}, |K|={self.group.order}, vertices={len(self.reps)})"
@@ -134,57 +137,6 @@ def sphere(Q: QuotientGraph, base: int, level: int) -> tuple[int, ...]:
     if level >= len(masks):
         return ()
     return tuple(bits_of(masks[level]))
-
-
-def _reduce(v: int, pivots: dict[int, int]) -> int:
-    """v modulo the span of pivots (leading bit -> vector), pivot bits cleared."""
-    for p in sorted(pivots, reverse=True):
-        if (v >> p) & 1:
-            v ^= pivots[p]
-    return v
-
-
-def _add_to_span(v: int, pivots: dict[int, int]) -> bool:
-    """Extend pivots by v; False when v already lies in their span."""
-    v = _reduce(v, pivots)
-    if v:
-        pivots[v.bit_length() - 1] = v
-    return bool(v)
-
-
-def _translation_pivots(K: CubeGroup) -> dict[int, int]:
-    """An echelon basis of T, the subspace of translations in K."""
-    if K.elements is None:
-        raise Unsupported("the translation subgroup needs the group element list")
-    pivots: dict[int, int] = {}
-    for g in K.elements:
-        if g.perm.is_identity():
-            _add_to_span(g.translation.bits, pivots)
-    return pivots
-
-
-def normalizing_translations(K: CubeGroup) -> list[int]:
-    """A basis of Y_0 = {y : y^s xor y in T for every generator (x, s) of K}.
-
-    T is the subspace of translations in K. Conjugating (x, s) by (y, id)
-    gives (x xor y^s xor y, s), and (x xor z, s) lies in K iff z lies in T,
-    so Y_0 is the subspace of translations that normalize K. The condition
-    is linear in y; one Gaussian elimination over F_2 in the n unknowns
-    y_1..y_n solves it, with no loop over the 2^n translations.
-    """
-    n = K.n
-    t_pivots = _translation_pivots(K)
-    perms = [g.perm.images for g in K.generators if not g.perm.is_identity()]
-    # Row i is (f(e_i), e_i), where f(y) stacks y^s xor y mod T for every s.
-    # In an echelon basis of the rows, those whose f-part vanished (leading
-    # bit below n) span the kernel of f, which is Y_0.
-    pivots: dict[int, int] = {}
-    for i in range(n):
-        image = 0
-        for j, images in enumerate(perms):
-            image |= _reduce((1 << images[i]) ^ (1 << i), t_pivots) << (j * n)
-        _add_to_span(image << n | 1 << i, pivots)
-    return [v for p, v in pivots.items() if p < n]
 
 
 def translation_roots(Q: QuotientGraph) -> list[int]:

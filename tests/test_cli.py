@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cubequot
 from cubequot.cli import main
 
 from conftest import QUATERNION_FILE
@@ -198,10 +200,15 @@ def test_group_cap_enforced(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child process imports the same cubequot as this one, also when the
+    # package is found through pytest's `pythonpath` setting only
+    src = str(Path(cubequot.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "cubequot.cli", "verify", "--claims", "ex-valency-m"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "ex-valency-m" in proc.stdout

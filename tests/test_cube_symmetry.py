@@ -24,12 +24,14 @@ from cubequot import (
     normalizer,
     parse_group_text,
 )
+from cubequot.cube_symmetry import _monomial_perm, standard_generators
 from cubequot.errors import (
     DimensionMismatch,
     GroupTooLarge,
     IdentityElement,
     ParseError,
 )
+from cubequot.verify import random_involution, random_subgroup, sample_subgroups
 
 from conftest import QUATERNION_FILE, brute_element_distance, folded_cube_group
 
@@ -239,6 +241,18 @@ def test_min_distance_folded(folded8):
     assert min_distance(folded8) == 8
 
 
+def test_min_distance_matches_full_scan():
+    # the scan stops at the first element of distance 0; compare with all elements
+    groups = [generate_group(standard_generators(4))]
+    for n in range(3, 9):
+        groups += sample_subgroups(n, 6, random.Random(f"mindist:{n}"))
+    values = []
+    for K in groups:
+        values.append(min_distance(K))
+        assert values[-1] == min(element_min_distance(g) for g in K.non_identity())
+    assert 0 in values and any(v > 0 for v in values)
+
+
 def test_min_distance_of_linear_code_is_min_weight():
     # subgroups of translations: minimum distance = minimum codeword weight
     rng = random.Random(3)
@@ -417,6 +431,162 @@ def test_normalizer_order2_works_above_brute_bound():
     N = normalizer(K, "full", cap=1)
     assert N.order == (1 << 12) * math.factorial(12)
     assert N.elements is None  # order above the cap, list not materialized
+
+
+# Oracles for the normalizer: element counts by enumeration, with no
+# Schreier-Sims and no F_2 elimination.
+
+
+def centralizer_count(K):
+    """(|N(K)|, |N_even(K)|) for K = {1, (x, sigma)} with sigma != id.
+
+    (y, tau) normalizes K iff tau commutes with sigma and
+    y^sigma xor y = x^tau xor x. The centralizer of sigma,
+    Sym(fixed) x (S_2 wr S_m), is enumerated; each tau contributes a full
+    coset of Fix(sigma) or nothing.
+    """
+    n = K.n
+    k = next(K.non_identity())
+    x, sigma = k.translation.bits, k.perm
+    fixed = [j for j in range(n) if sigma.images[j] == j]
+    cycles = [tuple(i - 1 for i in c) for c in sigma.cycles()]
+    m = len(cycles)
+    coset = 1 << (len(fixed) + m)
+    full = even = 0
+    for fperm in itertools.permutations(fixed):
+        for cperm in itertools.permutations(range(m)):
+            for flips in range(1 << m):
+                images = list(range(n))
+                for j, fj in zip(fixed, fperm):
+                    images[j] = fj
+                for ci, (a, b) in enumerate(cycles):
+                    ta, tb = cycles[cperm[ci]]
+                    if (flips >> ci) & 1:
+                        ta, tb = tb, ta
+                    images[a], images[b] = ta, tb
+                z = Permutation(images).apply_bits(x) ^ x
+                # y^sigma xor y = z is solvable iff z vanishes on fixed
+                # coordinates and is constant on every 2-cycle
+                if z & sigma.fixed_mask() or any((z >> a) & 1 != (z >> b) & 1 for a, b in cycles):
+                    continue
+                y0 = sum(1 << a for a, _ in cycles if (z >> a) & 1)
+                full += coset
+                if fixed:  # Fix(sigma) holds odd vectors: half the coset is even
+                    even += coset // 2
+                elif y0.bit_count() % 2 == 0:
+                    even += coset
+    return full, even
+
+
+def ambient_scan_count(K):
+    """(|N(K)|, |N_even(K)|) by a scan of Aut(Q_n), factored through tau.
+
+    The conjugate of (x, s) by (y, tau) is (y^s' xor y xor x^tau, s') with
+    s' = tau^-1 s tau; tau is skipped unless every s' is a coordinate part
+    of K, and y is looped over only when some s' is not the identity.
+    """
+    n = K.n
+    fibres = {}
+    for g in K:
+        fibres.setdefault(g.perm.images, set()).add(g.translation.bits)
+    ks = list(K.non_identity())
+    full = even = 0
+    for images in itertools.permutations(range(n)):
+        tau = Permutation(images)
+        tinv = tau.inverse()
+        conds = []
+        for k in ks:
+            sp = tinv.compose(k.perm).compose(tau)
+            if sp.images not in fibres:
+                break
+            conds.append((sp, tau.apply_bits(k.translation.bits), fibres[sp.images]))
+        else:
+            if all(sp.is_identity() for sp, _, _ in conds):
+                if all(xt in fibre for _, xt, fibre in conds):
+                    full += 1 << n
+                    even += 1 << (n - 1)
+                continue
+            for y in range(1 << n):
+                if all(sp.apply_bits(y) ^ y ^ xt in fibre for sp, xt, fibre in conds):
+                    full += 1
+                    even += y.bit_count() % 2 == 0
+    return full, even
+
+
+def check_normalizer(K, counts):
+    for ambient, expected in zip(("full", "even"), counts):
+        N = normalizer(K, ambient, cap=1)
+        assert N.order == expected, (K, ambient)
+        for g in N.generators:
+            assert all(k.conjugated_by(g) in K for k in K.generators)
+            assert ambient == "full" or g.is_even()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_normalizer_of_involutions_matches_enumeration(n):
+    rng = random.Random(f"normalizer-involution:{n}")
+    groups = [generate_group([random_involution(n, rng)]) for _ in range(10)]
+    if n % 2 == 0:
+        # sigma without fixed coordinates, with x = 0, all-ones, and one 2-cycle
+        sigma = Permutation.from_cycles(n, [(i, i + 1) for i in range(1, n, 2)])
+        for x in (0, (1 << n) - 1, 0b11):
+            groups.append(generate_group([CubeAutomorphism(BitVector(n, x), sigma)]))
+    for K in groups:
+        k = next(K.non_identity())
+        check_normalizer(K, ambient_scan_count(K) if k.is_translation() else centralizer_count(K))
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
+def test_normalizer_of_larger_groups_matches_ambient_scan(n):
+    rng = random.Random(f"normalizer-coset:{n}")
+    groups = [random_subgroup(n, order, rng) for order in (4, 8, 4, 8)]
+    for dim in (2, 3):
+        while True:
+            vecs = [rng.randrange(1, 1 << n) for _ in range(dim)]
+            K = generate_group([CubeAutomorphism.translation_by(BitVector(n, v)) for v in vecs])
+            if K.order == 1 << dim:
+                groups.append(K)
+                break
+    # two commuting transpositions: every element fixes vertex 0
+    groups.append(
+        generate_group(
+            [
+                CubeAutomorphism(BitVector.zero(n), Permutation.transposition(n, 1, 2)),
+                CubeAutomorphism(
+                    BitVector.from_support(n, (5,)), Permutation.transposition(n, 3, 4)
+                ),
+            ]
+        )
+    )
+    assert not is_semiregular(groups[-1])
+    for K in groups:
+        assert K.order in (4, 8)
+        check_normalizer(K, ambient_scan_count(K))
+
+
+def test_normalizer_orders_match_sympy(quaternion_group):
+    from sympy.combinatorics import Permutation as SymPerm
+    from sympy.combinatorics import PermutationGroup as SymGroup
+
+    not_vt = generate_group(
+        [CubeAutomorphism(BitVector.all_ones(10), Permutation.transposition(10, 1, 2))]
+    )
+    for K, ambient, order in ((not_vt, "even", 20_643_840), (quaternion_group, "full", 3072)):
+        N = normalizer(K, ambient, cap=1)
+        sym = SymGroup([SymPerm(list(_monomial_perm(g)), size=2 * K.n) for g in N.generators])
+        assert N.order == order == sym.order()
+
+
+def test_normalizer_of_involution_with_large_centralizer():
+    # sigma is eight 2-cycles, so C(sigma) = S_2 wr S_8 has 10,321,920 elements;
+    # N is generated by O(n) elements instead
+    n = 16
+    sigma = Permutation.from_cycles(n, [(i, i + 1) for i in range(1, n, 2)])
+    K = generate_group([CubeAutomorphism(BitVector.all_ones(n), sigma)])
+    for ambient in ("full", "even"):
+        N = normalizer(K, ambient, cap=1)
+        assert N.order == 2**8 * 2**8 * math.factorial(8) == 2_642_411_520
+        assert len(N.generators) <= 2 * n
 
 
 def test_intersect_even_needs_elements():
