@@ -16,7 +16,15 @@ a vertex and its image under a non-identity element of K (infinity for the
 trivial group). It generalises the minimum distance of a binary linear
 code, which is the special case K <= F_2^n.
 
-All types are immutable after construction; operations are pure functions.
+One element is encoded by its key (y, images): the translation bits and the
+0-based coordinate images. The public constructors (`BitVector`,
+`Permutation`, `CubeAutomorphism`, `Permutation.from_cycles`,
+`parse_group_text`) validate their input. Elements the library derives from
+valid ones -- products, inverses, conjugates, and every element of a closure
+-- are unchecked views over their keys (`CubeAutomorphism._from_key`): the
+same immutable classes, with their slots filled and no checks repeated.
+`generate_group` runs its breadth-first search over the keys alone and wraps
+them as views at the end. Operations are pure functions.
 """
 
 from __future__ import annotations
@@ -49,6 +57,47 @@ _COSET_SEARCH_CAP = 10**8
 def _check_dimension(n: int) -> None:
     if not 1 <= n <= MAX_DIMENSION:
         raise BadDimension(f"dimension must be in 1..{MAX_DIMENSION}, got {n}")
+
+
+def _move_bits(bits: int, images: Sequence[int]) -> int:
+    """Move bit j of bits to bit images[j], for every set bit j."""
+    out = 0
+    while bits:
+        lsb = bits & -bits
+        out |= 1 << images[lsb.bit_length() - 1]
+        bits ^= lsb
+    return out
+
+
+def _inverse_images(images: Sequence[int]) -> tuple[int, ...]:
+    inv = [0] * len(images)
+    for j, k in enumerate(images):
+        inv[k] = j
+    return tuple(inv)
+
+
+def _cycle_data(images: Sequence[int]) -> tuple[int, list[int]]:
+    """The mask of fixed points and the masks of the non-trivial cycles of a
+    0-based permutation, the cycles listed by least point."""
+    n = len(images)
+    seen = [False] * n
+    fixed_mask = 0
+    cycle_masks = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        if images[i] == i:
+            seen[i] = True
+            fixed_mask |= 1 << i
+            continue
+        mask = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            mask |= 1 << j
+            j = images[j]
+        cycle_masks.append(mask)
+    return fixed_mask, cycle_masks
 
 
 class BitVector:
@@ -179,13 +228,7 @@ class Permutation:
 
     def apply_bits(self, bits: int) -> int:
         """Move bit j to bit images[j] for every set bit."""
-        out = 0
-        images = self.images
-        while bits:
-            lsb = bits & -bits
-            out |= 1 << images[lsb.bit_length() - 1]
-            bits ^= lsb
-        return out
+        return _move_bits(bits, self.images)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self followed by other."""
@@ -197,10 +240,7 @@ class Permutation:
     __mul__ = compose
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for j, k in enumerate(self.images):
-            inv[k] = j
-        return Permutation(inv)
+        return Permutation(_inverse_images(self.images))
 
     def is_identity(self) -> bool:
         return all(j == k for j, k in enumerate(self.images))
@@ -210,7 +250,7 @@ class Permutation:
         return tuple(j + 1 for j, k in enumerate(self.images) if j == k)
 
     def fixed_mask(self) -> int:
-        return sum(1 << j for j, k in enumerate(self.images) if j == k)
+        return _cycle_data(self.images)[0]
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Non-trivial cycles, 1-based, least point first, sorted by least point."""
@@ -229,14 +269,8 @@ class Permutation:
         return tuple(out)
 
     def cycle_masks(self) -> tuple[int, ...]:
-        """Bit masks of the non-trivial cycles."""
-        masks = []
-        for cyc in self.cycles():
-            m = 0
-            for i in cyc:
-                m |= 1 << (i - 1)
-            masks.append(m)
-        return tuple(masks)
+        """Bit masks of the non-trivial cycles, by least point."""
+        return tuple(_cycle_data(self.images)[1])
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -265,6 +299,21 @@ class CubeAutomorphism:
         object.__setattr__(self, "translation", translation)
         object.__setattr__(self, "perm", perm)
 
+    @classmethod
+    def _from_key(cls, n: int, y: int, images: tuple[int, ...]) -> "CubeAutomorphism":
+        """The element with key (y, images), derived from valid elements: its
+        slots and those of its parts are filled without the checks of the
+        public constructors. images must be a tuple."""
+        translation = object.__new__(BitVector)
+        object.__setattr__(translation, "n", n)
+        object.__setattr__(translation, "bits", y)
+        perm = object.__new__(Permutation)
+        object.__setattr__(perm, "images", images)
+        g = object.__new__(cls)
+        object.__setattr__(g, "translation", translation)
+        object.__setattr__(g, "perm", perm)
+        return g
+
     def __setattr__(self, *_):
         raise AttributeError("CubeAutomorphism is immutable")
 
@@ -292,19 +341,18 @@ class CubeAutomorphism:
         """self followed by other: (y,s)(z,t) = (y^t xor z, st)."""
         if self.n != other.n:
             raise DimensionMismatch("composition of automorphisms of different dimension")
-        y_t = other.perm.apply_bits(self.translation.bits)
-        return CubeAutomorphism(
-            BitVector(self.n, y_t ^ other.translation.bits),
-            self.perm.compose(other.perm),
+        o = other.perm.images
+        return CubeAutomorphism._from_key(
+            len(o),
+            _move_bits(self.translation.bits, o) ^ other.translation.bits,
+            tuple([o[j] for j in self.perm.images]),
         )
 
     __mul__ = compose
 
     def inverse(self) -> "CubeAutomorphism":
-        pinv = self.perm.inverse()
-        return CubeAutomorphism(
-            BitVector(self.n, pinv.apply_bits(self.translation.bits)), pinv
-        )
+        inv = _inverse_images(self.perm.images)
+        return CubeAutomorphism._from_key(len(inv), _move_bits(self.translation.bits, inv), inv)
 
     def conjugated_by(self, g: "CubeAutomorphism") -> "CubeAutomorphism":
         """g^-1 * self * g."""
@@ -421,7 +469,9 @@ def generate_group(
     """Closure of gens under composition, breadth-first from the identity.
 
     Generators are applied in input order, so the element order is
-    deterministic. Raises GroupTooLarge when the closure exceeds cap.
+    deterministic. Raises GroupTooLarge when the closure exceeds cap. The
+    search runs over (translation bits, images) keys; the elements it
+    returns are unchecked views over them.
     """
     gens = tuple(gens)
     if not gens:
@@ -434,21 +484,31 @@ def generate_group(
     for g in gens:
         if g.n != dim:
             raise DimensionMismatch("generators of mixed dimension")
-    ident = CubeAutomorphism.identity(dim)
-    elements = [ident]
-    seen = {ident.key()}
+    # each generator with a flag for a pure translation, whose coordinate part
+    # leaves the images as they are, and a memo y -> y^sigma xor y_g
+    steps = [(g.translation.bits, g.perm.images, g.perm.is_identity(), {}) for g in gens]
+    ident = (0, tuple(range(dim)))
+    keys = [ident]
+    seen = {ident}
     qi = 0
-    while qi < len(elements):
-        cur = elements[qi]
+    while qi < len(keys):
+        y, images = keys[qi]
         qi += 1
-        for g in gens:
-            nxt = cur.compose(g)
-            k = nxt.key()
+        for g_y, g_images, g_is_translation, memo in steps:
+            t = memo.get(y)
+            if t is None:
+                t = memo[y] = _move_bits(y, g_images) ^ g_y
+            k = (t, images if g_is_translation else tuple([g_images[j] for j in images]))
             if k not in seen:
-                if len(elements) >= cap:
+                if len(keys) >= cap:
                     raise GroupTooLarge(f"closure exceeds cap {cap}")
                 seen.add(k)
-                elements.append(nxt)
+                keys.append(k)
+    # drop the search state before the views exist, and the keys after
+    del seen, steps
+    view = CubeAutomorphism._from_key
+    elements = [view(dim, y, images) for y, images in keys]
+    del keys
     return CubeGroup(dim, gens, elements, len(elements))
 
 
@@ -470,8 +530,9 @@ def element_min_distance(g: CubeAutomorphism) -> int:
     if g.is_identity():
         raise IdentityElement("element distance is undefined for the identity")
     y = g.translation.bits
-    d = (y & g.perm.fixed_mask()).bit_count()
-    for mask in g.perm.cycle_masks():
+    fixed_mask, cycle_masks = _cycle_data(g.perm.images)
+    d = (y & fixed_mask).bit_count()
+    for mask in cycle_masks:
         d += (y & mask).bit_count() & 1
     return d
 
@@ -713,7 +774,7 @@ class _LiftSolver:
         """Some y with (y, tau) in N(K), or None when there is none."""
         n = self.n
         t = tau.images
-        tinv = tau.inverse().images
+        tinv = _inverse_images(t)
         perms = []
         target = 0
         for j, (x, s) in enumerate(self.gens):
@@ -722,7 +783,7 @@ class _LiftSolver:
             if x_sp is None:
                 return None
             perms.append(sp)
-            target |= _reduce(tau.apply_bits(x) ^ x_sp, self.t_pivots) << (j * n)
+            target |= _reduce(_move_bits(x, t) ^ x_sp, self.t_pivots) << (j * n)
         key = tuple(perms)
         system = self._systems.get(key)
         if system is None:

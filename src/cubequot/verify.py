@@ -26,6 +26,7 @@ from .cube_symmetry import (
     CubeAutomorphism,
     CubeGroup,
     Permutation,
+    _cycle_data,
     conjugate_group,
     element_min_distance,
     generate_group,
@@ -233,8 +234,7 @@ def exhaustive_order2_subgroups(n: int) -> Iterator[CubeGroup]:
     ]
     for sigma in perms:
         fix_free = [j for j in range(n) if sigma.images[j] == j]
-        cyc_masks = [(1 << (a - 1)) | (1 << (b - 1)) for a, b in sigma.cycles()]
-        units = [1 << j for j in fix_free] + cyc_masks
+        units = [1 << j for j in fix_free] + list(sigma.cycle_masks())
         for pick in range(1 << len(units)):
             bits = 0
             for i, u in enumerate(units):
@@ -276,28 +276,6 @@ def _popcount_table(n: int) -> np.ndarray:
             pc += (vs >> i) & 1
         _POP_CACHE[n] = pc
     return _POP_CACHE[n]
-
-
-def _cycle_data(images: Sequence[int]) -> tuple[int, list[int]]:
-    n = len(images)
-    seen = [False] * n
-    fixed_mask = 0
-    cycle_masks = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        if images[i] == i:
-            seen[i] = True
-            fixed_mask |= 1 << i
-            continue
-        mask = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            mask |= 1 << j
-            j = images[j]
-        cycle_masks.append(mask)
-    return fixed_mask, cycle_masks
 
 
 def elements_with_distance_at_least(

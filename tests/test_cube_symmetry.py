@@ -24,7 +24,7 @@ from cubequot import (
     normalizer,
     parse_group_text,
 )
-from cubequot.cube_symmetry import _monomial_perm, standard_generators
+from cubequot.cube_symmetry import _cycle_data, _monomial_perm, standard_generators
 from cubequot.errors import (
     DimensionMismatch,
     GroupTooLarge,
@@ -71,6 +71,16 @@ def test_permutation_cycles_round_trip():
 def test_permutation_fixed_points():
     p = Permutation.from_cycles(5, [(1, 2)])
     assert p.fixed_points() == (3, 4, 5)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cycle_data_matches_cycles(n):
+    for images in itertools.permutations(range(n)):
+        p = Permutation(images)
+        fixed_mask, cycle_masks = _cycle_data(images)
+        assert fixed_mask == sum(1 << (i - 1) for i in p.fixed_points())
+        assert cycle_masks == [sum(1 << (i - 1) for i in c) for c in p.cycles()]
+        assert p.fixed_mask() == fixed_mask and p.cycle_masks() == tuple(cycle_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +170,136 @@ def test_generate_group_dimension_mismatch():
     g2 = CubeAutomorphism.identity(5)
     with pytest.raises(DimensionMismatch):
         generate_group([g1, g2])
+
+
+def validated(n, y, images):
+    return CubeAutomorphism(BitVector(n, y), Permutation(images))
+
+
+def moved_bits(bits, images):
+    return sum(1 << images[j] for j in range(len(images)) if (bits >> j) & 1)
+
+
+def checked_compose(g, h):
+    """g followed by h, every part built by the validating constructors."""
+    hy, hs = h.key()
+    return validated(
+        g.n, moved_bits(g.translation.bits, hs) ^ hy, tuple(hs[j] for j in g.perm.images)
+    )
+
+
+def checked_inverse(g):
+    inv = [0] * g.n
+    for j, k in enumerate(g.perm.images):
+        inv[k] = j
+    return validated(g.n, moved_bits(g.translation.bits, inv), inv)
+
+
+def closure_oracle(gens, n):
+    """Breadth-first closure over validated objects, generators in input order."""
+    ident = validated(n, 0, range(n))
+    elements = [ident]
+    seen = {ident.key()}
+    qi = 0
+    while qi < len(elements):
+        cur = elements[qi]
+        qi += 1
+        for g in gens:
+            nxt = checked_compose(cur, g)
+            if nxt.key() not in seen:
+                seen.add(nxt.key())
+                elements.append(nxt)
+    return [g.key() for g in elements]
+
+
+def closure_cases():
+    cases = []
+    for n in range(1, 7):
+        for ambient in ("full", "even"):
+            gens = standard_generators(n, even=ambient == "even")
+            cases.append(pytest.param(n, gens, id=f"standard-{n}-{ambient}"))
+    for n in range(3, 11):
+        for j, K in enumerate(sample_subgroups(n, 6, random.Random(f"closure-oracle:{n}"))):
+            cases.append(pytest.param(n, K.generators, id=f"sample-{n}-{j}"))
+    quaternion = parse_group_text(QUATERNION_FILE)
+    cases.append(pytest.param(8, quaternion.generators, id="quaternion"))
+    rng = random.Random("closure-oracle:translations")
+    for n, dim in ((5, 5), (8, 3), (10, 4), (12, 6)):
+        vecs = [rng.randrange(1, 1 << n) for _ in range(dim)]
+        gens = [CubeAutomorphism.translation_by(BitVector(n, v)) for v in vecs]
+        cases.append(pytest.param(n, gens, id=f"translations-{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("n, gens", closure_cases())
+def test_generate_group_matches_object_closure(n, gens):
+    K = generate_group(gens, n=n)
+    expected = closure_oracle(gens, n)
+    assert [g.key() for g in K.elements] == expected
+    assert K.order == len(expected)
+    if K.order > 1:
+        assert generate_group(gens, cap=K.order).order == K.order
+        with pytest.raises(GroupTooLarge, match=f"^closure exceeds cap {K.order - 1}$"):
+            generate_group(gens, cap=K.order - 1)
+
+
+def test_generate_group_builds_no_validated_parts(monkeypatch):
+    gens = standard_generators(6)
+    calls = []
+    for cls in (BitVector, Permutation, CubeAutomorphism):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _name=cls.__name__):
+            calls.append(_name)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    K = generate_group(gens)
+    assert K.order == 2**6 * math.factorial(6)
+    assert calls == []
+    validated(6, 1, range(6))  # the counter sees the public constructors
+    assert calls == ["BitVector", "Permutation", "CubeAutomorphism"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10**9))
+def test_derived_views_match_validated_elements(n, seed):
+    rng = random.Random(seed)
+    g, h = random_element(n, rng), random_element(n, rng)
+    derived = [
+        (g.compose(h), checked_compose(g, h)),
+        (g * h, checked_compose(g, h)),
+        (g.inverse(), checked_inverse(g)),
+        (g.conjugated_by(h), checked_compose(checked_compose(checked_inverse(h), g), h)),
+        (g.perm.compose(h.perm), checked_compose(g, h).perm),
+        (g.perm.inverse(), checked_inverse(g).perm),
+    ]
+    for view, expected in derived:
+        assert view == expected and hash(view) == hash(expected)
+        assert repr(view) == repr(expected)
+    v = rng.randrange(1 << n)
+    assert g.compose(h).act_bits(v) == h.act_bits(g.act_bits(v))
+    assert g.inverse().act_bits(g.act_bits(v)) == v
+    view = g.compose(h)
+    for obj, attr in ((view, "perm"), (view.translation, "bits"), (view.perm, "images")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+    assert view.key() == (view.translation.bits, view.perm.images)
+    assert view.translation.n == view.perm.n == n
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 10**9))
+def test_closure_views_are_valid_elements(n, seed):
+    rng = random.Random(seed)
+    K = random_subgroup(n, rng.choice((2, 4, 8)), rng)
+    for g in K:
+        y, images = g.key()
+        expected = validated(n, y, images)
+        assert g == expected and hash(g) == hash(expected) and repr(g) == repr(expected)
+        assert type(images) is tuple and g.translation.n == n
+        with pytest.raises(AttributeError):
+            g.translation = BitVector.zero(n)
 
 
 def test_element_order_divides_group_order(quaternion_group):
