@@ -19,7 +19,7 @@ from .cube_symmetry import (
     CubeAutomorphism,
     CubeGroup,
     Permutation,
-    _reduce_generators,
+    _GroupBuilder,
     generate_group,
 )
 from .errors import (
@@ -192,8 +192,7 @@ def deck_group(c: CoveringMap) -> CubeGroup:
                     f"candidate at y={y:#x} moves vertex {v:#x} across fibers"
                 )
         members.append(g)
-    gens = _reduce_generators(n, members)
-    group = generate_group(gens, cap=len(members) + 1, n=n)
+    group = generate_group(_GroupBuilder(n, members).gens, cap=len(members) + 1, n=n)
     if group.order != len(members):
         raise ReconstructionFailed("reconstructed candidates do not close into a group")
     return group

@@ -576,20 +576,6 @@ def conjugate_group(K: CubeGroup, g: CubeAutomorphism) -> CubeGroup:
     return result
 
 
-def _reduce_generators(
-    n: int, elements: Sequence[CubeAutomorphism]
-) -> tuple[CubeAutomorphism, ...]:
-    """Greedy small generating set for a group given as an element list."""
-    gens: list[CubeAutomorphism] = []
-    known = {CubeAutomorphism.identity(n).key()}
-    for e in elements:
-        if e.key() in known:
-            continue
-        gens.append(e)
-        known = {g.key() for g in generate_group(gens, cap=len(elements) + 1)}
-    return tuple(gens)
-
-
 def intersect_even(K: CubeGroup) -> CubeGroup:
     """The subgroup of even elements, K intersected with E_n : S_n."""
     if K.elements is None:
@@ -599,8 +585,7 @@ def intersect_even(K: CubeGroup) -> CubeGroup:
         return CubeGroup.trivial(K.n)
     if len(even_elems) == K.order:
         return K
-    gens = _reduce_generators(K.n, even_elems)
-    result = generate_group(gens, cap=K.order + 1)
+    result = generate_group(_GroupBuilder(K.n, even_elems).gens, cap=K.order + 1)
     if result.order != len(even_elems):
         raise InvariantViolated(
             f"even part generates order {result.order}, expected {len(even_elems)}"
@@ -656,13 +641,21 @@ def ambient_order(n: int, even: bool = False) -> int:
     return order // 2 if even else order
 
 
-class _NormalizerBuilder:
-    """Accumulates normalizer elements, keeping only growing generators."""
+class _GroupBuilder:
+    """Accumulates group elements, keeping only growing generators.
 
-    def __init__(self, n: int):
+    `add` keeps g when it is not yet a member of the group generated so far
+    (a Schreier-Sims membership test through `_monomial_perm`), so adding a
+    group's elements in order picks the same greedy generating set as
+    re-closing the group after every new generator, without the closures.
+    """
+
+    def __init__(self, n: int, elements: Iterable[CubeAutomorphism] = ()):
         self.n = n
         self.group = PermutationGroup(2 * n)
         self.gens: list[CubeAutomorphism] = []
+        for g in elements:
+            self.add(g)
 
     def add(self, g: CubeAutomorphism) -> None:
         if self.group.add_generator(_monomial_perm(g)):
@@ -890,22 +883,19 @@ def _admissible_coordinate_parts(K: CubeGroup) -> list[Permutation]:
 
 def _even_subgroup(
     n: int, gens: Sequence[CubeAutomorphism], t: CubeAutomorphism
-) -> _NormalizerBuilder:
+) -> _GroupBuilder:
     """The even elements of <gens>, for an odd element t of <gens>.
 
     Translation parity is a homomorphism onto Z_2, so the even elements form
     a subgroup of index 2 with coset representatives 1 and t. Its Schreier
     generators are s and t s t^-1 for even s, and s t^-1 and t s for odd s.
     """
-    builder = _NormalizerBuilder(n)
     t_inv = t.inverse()
     # the s and s t^-1 go in first: in that order the even normalizers of
     # perfbench's symmetry groups (n = 8, 10) built about 30% faster
     firsts = [s if s.is_even() else s.compose(t_inv) for s in gens]
     seconds = [t.compose(s).compose(t_inv) if s.is_even() else t.compose(s) for s in gens]
-    for g in firsts + seconds:
-        builder.add(g)
-    return builder
+    return _GroupBuilder(n, firsts + seconds)
 
 
 def normalizer(K: CubeGroup, ambient: str = "full", cap: int = DEFAULT_GROUP_CAP) -> CubeGroup:
@@ -946,7 +936,7 @@ def normalizer(K: CubeGroup, ambient: str = "full", cap: int = DEFAULT_GROUP_CAP
             f"normalizer for |K|={K.order} at n={n}: the coordinate search covers |K| > 2 "
             f"only while 2^n n! <= {_COSET_SEARCH_CAP}"
         )
-    builder = _NormalizerBuilder(n)
+    builder = _GroupBuilder(n)
     solver = _LiftSolver(K)
     lifts = 0
     for tau in taus:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import InvariantViolated, TooLarge
 from .graph_core import SimpleGraph, bits_of
-from .perm_groups import PermutationGroup
+from .perm_groups import PermutationGroup, orbit_minima
 
 MAX_ISO_VERTICES = 2000
 MAX_AUT_VERTICES = 512
@@ -102,31 +102,6 @@ def _is_graph_automorphism(adj: Sequence[int], p: Sequence[int]) -> bool:
     return True
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _orbit_finder(n: int, gens: list[tuple[int, ...]]) -> _UnionFind:
-    uf = _UnionFind(n)
-    for g in gens:
-        for v in range(n):
-            uf.union(v, g[v])
-    return uf
-
-
 # ---------------------------------------------------------------------------
 # Automorphism search
 # ---------------------------------------------------------------------------
@@ -168,15 +143,18 @@ def automorphism_generators(G: SimpleGraph) -> list[tuple[int, ...]]:
         cell = _target_cell(colors)
         candidates = [v for v in range(n) if colors[v] == cell]
         explored: list[int] = []
+        # orbit minima of the generators fixing the prefix, redone when gens grows
+        orbit: Optional[list[int]] = None
+        orbit_gens = 0
         for v in candidates:
             if explored:
-                fixers = [g for g in gens if all(g[x] == x for x in prefix)]
-                if fixers:
-                    uf = _orbit_finder(n, fixers)
-                    rv = uf.find(v)
-                    if any(uf.find(w) == rv for w in explored):
-                        explored.append(v)
-                        continue
+                if len(gens) != orbit_gens:
+                    orbit_gens = len(gens)
+                    fixers = [g for g in gens if all(g[x] == x for x in prefix)]
+                    orbit = orbit_minima(fixers).tolist() if fixers else None
+                if orbit is not None and any(orbit[w] == orbit[v] for w in explored):
+                    explored.append(v)
+                    continue
             child = _refine(nbrs, _individualize(colors, v))
             trace = tuple(_class_sizes(child))
             if first_leaf[0] is None:
@@ -208,10 +186,11 @@ class PermGroupOnGraph:
     order: int
 
     def vertex_orbits(self) -> list[list[int]]:
-        uf = _orbit_finder(self.degree, list(self.generators))
+        if not self.generators:
+            return [[v] for v in range(self.degree)]
         buckets: dict[int, list[int]] = {}
-        for v in range(self.degree):
-            buckets.setdefault(uf.find(v), []).append(v)
+        for v, r in enumerate(orbit_minima(self.generators).tolist()):
+            buckets.setdefault(r, []).append(v)
         return sorted(buckets.values())
 
     def is_transitive(self) -> bool:

@@ -1,9 +1,13 @@
-"""Permutation groups on points 0..degree-1 with exact order computation.
+"""Permutation groups on points 0..degree-1: exact orders and orbits.
 
 Permutations are tuples p of length degree with p[i] = image of i.
 The group is stored as a base and strong generating set built by a
 deterministic Schreier-Sims procedure, so orders are exact integers of
 arbitrary size.
+
+`orbit_minima` is the library's one routine for the orbits of a group
+given by generators; quotients, translation roots and automorphism
+searches all read their orbits from it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,31 @@ def invert_perm(p: Sequence[int]) -> tuple[int, ...]:
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
+
+
+def orbit_minima(tables):
+    """rep[v], the least point of the orbit of v, for every point v.
+
+    Row k of `tables` (a 2-D array or a sequence of equal-length sequences)
+    is generator k as the map v -> g_k(v) on the points 0..N-1. Each round
+    lowers rep[v] to rep[g_k(v)] where that is smaller, for every k, then
+    jumps rep to rep[rep]; rep[v] stays in the orbit of v throughout. At a
+    round that changes nothing, rep[v] <= rep[g(v)] for every generator g,
+    and g^-1 is a power of g, so rep is constant on each orbit and equals
+    its minimum. Rounds are bounded by the orbit diameter plus one.
+    """
+    import numpy as np
+
+    tables = np.asarray(tables, dtype=np.int64)
+    rep = np.arange(tables.shape[1], dtype=np.int64)
+    while True:
+        new = rep
+        for g in tables:
+            new = np.minimum(new, new[g])
+        new = new[new]
+        if np.array_equal(new, rep):
+            return rep
+        rep = new
 
 
 class PermutationGroup:

@@ -1,21 +1,24 @@
 """Orbit partitions of the n-cube under a subgroup and the quotient graph.
 
 Vertices of Q_n are the integers 0..2^n-1. The representative of an orbit
-is its numerically smallest vertex, found for every vertex at once as the
-minimum over the elements g of K of the image tables v -> g(v); orbit ids
-are sorted by representative, and vertex labels of the quotient graph are
-the representative bit strings (coordinate 1 leftmost). Distinct orbits are
-adjacent whenever some member of one is cube-adjacent to a member of the
-other; loops are discarded. K acts by cube automorphisms, so the
-neighbours of g(r) lie in the orbits of the neighbours of r, and the
-adjacency is read off the n cube neighbours of each representative alone.
+is its numerically smallest vertex. It is found for every vertex at once
+from K's generators alone: `perm_groups.orbit_minima` runs on the image
+tables v -> g(v) of the generators, so building a quotient never needs
+K's element list (`translation_roots` still does, for the translations in
+K). Orbit ids are sorted by representative, and vertex labels of the
+quotient graph are the representative bit strings (coordinate 1 leftmost).
+Distinct orbits are adjacent whenever some member of one is cube-adjacent
+to a member of the other; loops are discarded. K acts by cube
+automorphisms, so the neighbours of g(r) lie in the orbits of the
+neighbours of r, and the adjacency is read off the n cube neighbours of
+each representative alone.
 Semiregularity is not required, so degenerate quotients can be built and
 inspected.
 
 A translation (y, id) that normalizes K maps orbits to orbits, so it acts
 on the quotient as a graph automorphism. `translation_roots` picks one
-vertex per orbit of these automorphisms; distance parameters need a BFS
-from those roots only.
+vertex per orbit of these automorphisms, with the same orbit routine on
+the quotient vertices; distance parameters need a BFS from those roots only.
 """
 
 from __future__ import annotations
@@ -29,14 +32,11 @@ from .cube_symmetry import (
     _translation_pivots,
     normalizing_translations,
 )
-from .errors import DimensionMismatch, DimensionTooLarge, Unsupported
+from .errors import DimensionMismatch, DimensionTooLarge
 from .graph_core import LocalParams, SimpleGraph, bits_of, local_params
+from .perm_groups import orbit_minima
 
 MAX_QUOTIENT_DIMENSION = 20
-
-# Image-table entries build_quotient holds at once (512 KiB): several
-# elements per numpy call on small cubes, a bounded buffer on large ones.
-_TABLE_ENTRIES = 1 << 16
 
 
 class QuotientGraph:
@@ -97,14 +97,9 @@ def build_quotient(K: CubeGroup) -> QuotientGraph:
         raise DimensionTooLarge(
             f"quotient construction enumerates 2^n vertices; n={n} exceeds {MAX_QUOTIENT_DIMENSION}"
         )
-    if K.elements is None:
-        raise Unsupported("quotient construction needs the group element list")
-    elements = [(g.translation.bits, g.perm.images) for g in K.elements]
-    step = max(1, _TABLE_ENTRIES >> n)
+    gens = [(g.translation.bits, g.perm.images) for g in K.generators]
     vertices = np.arange(1 << n, dtype=np.int64)
-    rep = vertices
-    for i in range(0, len(elements), step):
-        rep = np.minimum(rep, image_tables(elements[i : i + step]).min(axis=0))
+    rep = orbit_minima(image_tables(gens)) if gens else vertices
     is_rep = rep == vertices
     reps = np.flatnonzero(is_rep)
     orbit_index = (np.cumsum(is_rep) - 1)[rep]
@@ -144,28 +139,19 @@ def translation_roots(Q: QuotientGraph) -> list[int]:
 
     Each such translation acts on the quotient as an automorphism, so the
     result is a valid `roots` argument of `graph_core.local_params`. The
-    orbits are found by a search over a basis of Y_0 modulo T (translations
-    in K act trivially).
+    roots are the orbit minima under a basis of Y_0 modulo T (translations
+    in K act trivially), y acting as r -> orbit_index[reps[r] xor y].
     """
+    import numpy as np
+
     span = _translation_pivots(Q.group)
     moves = [y for y in normalizing_translations(Q.group) if _add_to_span(y, span)]
-    reps, index = Q.reps, Q.orbit_index
-    seen = [False] * len(reps)
-    roots = []
-    for root in range(len(reps)):
-        if seen[root]:
-            continue
-        roots.append(root)
-        seen[root] = True
-        stack = [root]
-        while stack:
-            r = reps[stack.pop()]
-            for y in moves:
-                b = index[r ^ y]
-                if not seen[b]:
-                    seen[b] = True
-                    stack.append(b)
-    return roots
+    if not moves:
+        return list(range(len(Q.reps)))
+    reps = np.array(Q.reps, dtype=np.int64)
+    index = np.array(Q.orbit_index, dtype=np.int64)
+    rep = orbit_minima([index[reps ^ y] for y in moves])
+    return np.flatnonzero(rep == np.arange(len(reps))).tolist()
 
 
 def quotient_params(Q: QuotientGraph, max_level: int) -> list[LocalParams]:

@@ -61,6 +61,7 @@ from .iso_aut import (
     automorphism_group,
     verify_isomorphism,
 )
+from .perm_groups import orbit_minima
 from .quotient import (
     QuotientGraph,
     build_quotient,
@@ -161,6 +162,8 @@ def random_involution(
     n: int, rng: random.Random, force_even: bool = False
 ) -> CubeAutomorphism:
     """A uniform-ish non-identity element of order 2."""
+    if n < (2 if force_even else 1):
+        raise PreconditionViolated(f"Aut(Q_{n}) has no {'even ' if force_even else ''}involution")
     while True:
         m = rng.randrange(0, n // 2 + 1)
         coords = list(range(1, n + 1))
@@ -208,8 +211,10 @@ def random_subgroup(n: int, order: int, rng: random.Random) -> CubeGroup:
                 continue
         if K.order == order:
             return K
-    # always-available fallback: independent translations
+    # fallback: independent translations, when order = 2^dim with dim <= n
     dim = order.bit_length() - 1
+    if order != 1 << dim or not 1 <= dim <= n:
+        raise PreconditionViolated(f"no translation subgroup of order {order} at n={n}")
     while True:
         vecs = [BitVector(n, rng.randrange(1, 1 << n)) for _ in range(dim)]
         K = generate_group([CubeAutomorphism.translation_by(v) for v in vecs], cap=order + 1)
@@ -1272,23 +1277,15 @@ def _ex_not_vt(seed: int) -> ClaimReport:
     orbits = aut.vertex_orbits()
     N = normalizer(K, "full", cap=1)
     group_side = N.order // K.order
-    # group-side witness: e_1^K is not in the normalizer orbit of 0^K
-    zero_id = Q.orbit_index[0]
-    e1_id = Q.orbit_index[1]
-    reach = {zero_id}
-    frontier = [zero_id]
-    while frontier:
-        oid = frontier.pop()
-        for g in N.generators:
-            img = Q.orbit_index[g.act_bits(Q.reps[oid])]
-            if img not in reach:
-                reach.add(img)
-                frontier.append(img)
+    # group-side witness: e_1^K is not in the normalizer orbit of 0^K; N
+    # contains K, so its orbits on the cube are unions of K-orbits
+    orbit = orbit_minima(image_tables([(g.translation.bits, g.perm.images) for g in N.generators]))
+    e1_reached = bool(orbit[1] == orbit[0])
     ok = (
         d == n - 2
         and len(orbits) > 1
         and aut.order == group_side
-        and e1_id not in reach
+        and not e1_reached
     )
     return _report(
         "ex-not-vt",
@@ -1299,7 +1296,7 @@ def _ex_not_vt(seed: int) -> ClaimReport:
             "aut_order": aut.order,
             "normalizer_quotient_order": group_side,
             "vertex_orbit_sizes": [len(o) for o in orbits],
-            "e1_in_normalizer_orbit_of_zero": e1_id in reach,
+            "e1_in_normalizer_orbit_of_zero": e1_reached,
         },
     )
 

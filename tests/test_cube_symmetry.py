@@ -24,6 +24,7 @@ from cubequot import (
     normalizer,
     parse_group_text,
 )
+from cubequot.covering import deck_group, lift_covering
 from cubequot.cube_symmetry import _cycle_data, _monomial_perm, standard_generators
 from cubequot.errors import (
     DimensionMismatch,
@@ -31,6 +32,7 @@ from cubequot.errors import (
     IdentityElement,
     ParseError,
 )
+from cubequot.quotient import build_quotient
 from cubequot.verify import random_involution, random_subgroup, sample_subgroups
 
 from conftest import QUATERNION_FILE, brute_element_distance, folded_cube_group
@@ -469,6 +471,93 @@ def test_intersect_even():
     L = intersect_even(K)
     assert L.order == 2 and is_even(L)
     assert min_distance(L) >= 2
+
+
+def reclosing_generators(n, elements):
+    """Greedy generators that re-close the group after every new one."""
+    gens = []
+    known = {CubeAutomorphism.identity(n).key()}
+    for e in elements:
+        if e.key() in known:
+            continue
+        gens.append(e)
+        known = {g.key() for g in generate_group(gens, cap=len(elements) + 1)}
+    return tuple(gens)
+
+
+def greedy_oracle_groups():
+    groups = []
+    for n in range(4, 11):
+        groups.extend(sample_subgroups(n, 6, random.Random(f"greedy:{n}")))
+    return groups
+
+
+@pytest.mark.parametrize("K", greedy_oracle_groups(), ids=repr)
+def test_intersect_even_generators_match_reclosing_greedy(K):
+    L = intersect_even(K)
+    even = [g for g in K if g.is_even()]
+    if len(even) in (1, K.order):
+        return  # the trivial group, or K itself
+    assert L.generators == reclosing_generators(K.n, even)
+    assert L.order == len(even)
+
+
+def heavy_group(n, rng):
+    """<2 or 3 elements (x, sigma)>, |x| >= 5 and sigma a transposition or id."""
+    gens = []
+    for _ in range(rng.choice((2, 3))):
+        coords = list(range(1, n + 1))
+        rng.shuffle(coords)
+        cycles = [tuple(coords[:2])] if rng.randrange(2) else []
+        support = coords[2 : 2 + rng.randrange(5, n - 1)]
+        sigma = Permutation.from_cycles(n, cycles)
+        gens.append(CubeAutomorphism(BitVector.from_support(n, support), sigma))
+    return generate_group(gens, cap=9)
+
+
+def rectagraph_quotients():
+    """Per n = 4..10, the first three sampled quotients that are rectagraphs
+    (mostly small cubes, with trivial or small deck groups); per n = 8..10,
+    three quotients by groups of order >= 4 with d_K >= 5."""
+    from cubequot.graph_core import is_rectagraph
+
+    graphs = []
+    for n in range(4, 11):
+        rng = random.Random(f"deck:{n}")
+        found = 0
+        while found < 3:
+            if rng.randrange(2):
+                K = random_subgroup(n, rng.choice((4, 8)), rng)
+            else:
+                count = rng.choice((2, 3))
+                vecs = [BitVector(n, rng.randrange(1, 1 << n)) for _ in range(count)]
+                K = generate_group([CubeAutomorphism.translation_by(v) for v in vecs])
+            G = build_quotient(K).graph
+            if is_rectagraph(G):
+                graphs.append(G)
+                found += 1
+        found = 0
+        while n >= 8 and found < 3:
+            try:
+                K = heavy_group(n, rng)
+            except GroupTooLarge:
+                continue
+            if K.order >= 4 and min_distance(K) >= 5:
+                graphs.append(build_quotient(K).graph)
+                found += 1
+    return graphs
+
+
+@pytest.mark.parametrize("G", rectagraph_quotients(), ids=lambda G: f"V={G.n}")
+def test_deck_group_generators_match_reclosing_greedy(G):
+    cover = lift_covering(G)
+    D = deck_group(cover)
+    # deck_group's members, one per vertex y of the fibre over image[0], ascending
+    fiber = [v for v in range(1 << cover.n) if cover.image[v] == cover.image[0]]
+    by_translation = {g.translation.bits: g for g in D}
+    members = [by_translation[y] for y in fiber]
+    assert D.generators == reclosing_generators(cover.n, members)
+    assert D.order == len(fiber)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,22 @@ def test_asymmetric_graph_has_trivial_group():
     assert group.order == 1 and group.generators == ()
 
 
+def test_vertex_orbits_match_element_enumeration():
+    tree = SimpleGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (5, 6)])
+    path = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    triangle_and_edge = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    star_and_cycle = SimpleGraph.from_edges(
+        9, [(0, 1), (0, 2), (0, 3)] + [(4 + i, 4 + (i + 1) % 5) for i in range(5)]
+    )
+    graphs = [tree, path, triangle_and_edge, star_and_cycle, petersen()]
+    graphs.append(build_quotient(folded_cube_group(6)).graph)
+    for g in graphs:
+        group = automorphism_group(g)
+        elements = list(group_from_generators(g.n, group.generators).elements(limit=10**5))
+        brute = sorted({tuple(sorted({p[v] for p in elements})) for v in range(g.n)})
+        assert [tuple(o) for o in group.vertex_orbits()] == brute
+
+
 def test_cube_is_vertex_transitive():
     assert is_vertex_transitive(cube_graph(3))
     assert is_vertex_transitive(cube_graph(4))

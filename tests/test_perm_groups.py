@@ -1,8 +1,10 @@
-"""Schreier-Sims orders and membership against sympy's implementation."""
+"""Schreier-Sims orders and membership against sympy's implementation;
+orbit minima against networkx connected components."""
 
 import math
 import random
 
+import networkx as nx
 import pytest
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
@@ -13,6 +15,7 @@ from cubequot.perm_groups import (
     compose_perms,
     group_from_generators,
     invert_perm,
+    orbit_minima,
 )
 
 
@@ -85,3 +88,51 @@ def test_add_generator_reports_growth():
     assert G.add_generator((0, 1, 3, 2))
     assert not G.add_generator((1, 0, 3, 2))
     assert G.order() == 4
+
+
+def components_oracle(degree, gens):
+    """Least point of each point's connected component in the generator graph."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(degree))
+    graph.add_edges_from((v, g[v]) for g in gens for v in range(degree))
+    rep = [0] * degree
+    for component in nx.connected_components(graph):
+        low = min(component)
+        for v in component:
+            rep[v] = low
+    return rep
+
+
+def orbit_minima_cases():
+    rng = random.Random(11)
+    cycle = list(range(1000))
+    rng.shuffle(cycle)
+    one_cycle = [0] * 1000
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        one_cycle[a] = b
+    cases = [(7, [tuple(range(7))]), (1000, [tuple(one_cycle)])]
+    for degree in (1, 2, 9, 64, 300):
+        for count in (1, 2, 4):
+            cases.append((degree, [random_perm(degree, rng) for _ in range(count)]))
+    # sparse generators: many small orbits, fixed points and long chains
+    for degree, count in ((50, 3), (400, 2), (400, 6)):
+        gens = []
+        for _ in range(count):
+            p = list(range(degree))
+            for _ in range(degree // 10):
+                a, b = rng.randrange(degree), rng.randrange(degree)
+                p[a], p[b] = p[b], p[a]
+            gens.append(tuple(p))
+        cases.append((degree, gens))
+    return cases
+
+
+@pytest.mark.parametrize("degree,gens", orbit_minima_cases())
+def test_orbit_minima_match_connected_components(degree, gens):
+    assert orbit_minima(gens).tolist() == components_oracle(degree, gens)
+
+
+def test_orbit_minima_of_identity_and_single_cycle():
+    assert orbit_minima([tuple(range(5))]).tolist() == list(range(5))
+    cycle = tuple(range(1, 1000)) + (0,)
+    assert orbit_minima([cycle]).tolist() == [0] * 1000

@@ -16,8 +16,10 @@ from cubequot import (
     generate_group,
     min_distance,
     natural_map,
+    normalizer,
     sphere,
 )
+from cubequot.cube_symmetry import _add_to_span, _translation_pivots, standard_generators
 from cubequot.errors import DimensionMismatch, DimensionTooLarge
 from cubequot.graph_core import UNDEFINED, VACUOUS, local_params
 from cubequot.quotient import normalizing_translations, quotient_params, translation_roots
@@ -117,7 +119,7 @@ def sweep_oracle_groups():
     for n in range(3, 11):
         groups.extend(sample_subgroups(n, 4, random.Random(200 + n)))
         groups.append(CubeGroup.trivial(n))
-    # the last one, of order 256, spans several batches of image tables
+    # the last one has order 256 from 8 generators
     even9 = [(i, 9) for i in range(1, 9)]
     translations = (
         (3, [(1, 2, 3)]),
@@ -135,9 +137,14 @@ def sweep_oracle_groups():
     groups.append(generate_group([element(5, [(1, 2)])]))
     groups.append(generate_group([element(5, [], [1])]))
     groups.append(generate_group([element(6, [(2, 3)], [1]), element(6, [(4, 5, 6)])]))
-    # 1440 elements, not semiregular, in several batches of image tables
+    # 1440 elements, not semiregular
     s6 = [element(8, [(1, 2)]), element(8, [(1, 2, 3, 4, 5, 6)]), element(8, [], [7, 8])]
     groups.append(generate_group(s6))
+    # many elements and few orbits: Aut(Q_n) (one orbit) and its even subgroup
+    # (the even- and odd-weight vertices)
+    for n in range(3, 7):
+        for even in (False, True):
+            groups.append(generate_group(standard_generators(n, even=even)))
     return groups
 
 
@@ -150,6 +157,22 @@ def test_build_quotient_matches_sweep_oracle(K):
     assert list(Q.graph.adj) == adj
     assert list(Q.graph.labels) == labels
     assert SimpleGraph(Q.graph.n, Q.graph.adj, Q.graph.labels) == Q.graph
+
+
+def quotient_data(Q):
+    return list(Q.reps), list(Q.orbit_index), list(Q.graph.adj), list(Q.graph.labels)
+
+
+@pytest.mark.parametrize("order,seed", [(2, 0), (2, 1), (4, 0), (4, 1)])
+def test_quotient_of_unlisted_normalizer_matches_closed_group(order, seed):
+    # normalizer(..., cap=1) carries generators only; the quotient needs no more
+    rng = random.Random(f"unlisted:{order}:{seed}")
+    K = random_subgroup(rng.choice((5, 6, 7)), order, rng)
+    N = normalizer(K, "full", cap=1)
+    assert N.elements is None
+    closed = generate_group(N.generators)
+    assert closed.order == N.order
+    assert quotient_data(build_quotient(N)) == quotient_data(build_quotient(closed))
 
 
 def test_dimension_cap():
@@ -379,6 +402,35 @@ def oracle_groups():
         groups.append(generate_group(gens))
     groups.append(CubeGroup.trivial(5))
     return groups
+
+
+def stack_search_roots(Q):
+    """One root per orbit of Y_0 modulo T, by a search from each unseen orbit."""
+    span = _translation_pivots(Q.group)
+    moves = [y for y in normalizing_translations(Q.group) if _add_to_span(y, span)]
+    reps, index = Q.reps, Q.orbit_index
+    seen = [False] * len(reps)
+    roots = []
+    for root in range(len(reps)):
+        if seen[root]:
+            continue
+        roots.append(root)
+        seen[root] = True
+        stack = [root]
+        while stack:
+            r = reps[stack.pop()]
+            for y in moves:
+                b = index[r ^ y]
+                if not seen[b]:
+                    seen[b] = True
+                    stack.append(b)
+    return roots
+
+
+@pytest.mark.parametrize("K", oracle_groups(), ids=repr)
+def test_translation_roots_match_stack_search(K):
+    Q = build_quotient(K)
+    assert translation_roots(Q) == stack_search_roots(Q)
 
 
 @pytest.mark.parametrize("K", oracle_groups(), ids=repr)

@@ -1,4 +1,6 @@
 import json
+import random
+import signal
 
 import pytest
 
@@ -24,6 +26,7 @@ from cubequot.verify import (
     brute_force_min_distance,
     elements_with_distance_at_least,
     exhaustive_order2_subgroups,
+    random_involution,
     random_subgroup,
     reports_to_json,
     run_all,
@@ -240,3 +243,33 @@ def test_run_all_halts_on_failure():
         assert len(reports) == 2
     finally:
         del CLAIMS["zz-doomed"]
+
+
+@pytest.fixture
+def alarm():
+    """Fail a call that does not return within 10 s instead of hanging the suite."""
+
+    def expire(*_):
+        raise TimeoutError("the call did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_random_subgroup_without_such_subgroup_raises(alarm):
+    # Aut(Q_1) (order 2) has no subgroup of order 4, and Aut(Q_2) (order 8)
+    # none of order 6; no translation group has either order at that n
+    with pytest.raises(PreconditionViolated):
+        random_subgroup(1, 4, random.Random(0))
+    with pytest.raises(PreconditionViolated):
+        random_subgroup(2, 6, random.Random(0))
+
+
+def test_random_even_involution_needs_two_coordinates(alarm):
+    with pytest.raises(PreconditionViolated):
+        random_involution(1, random.Random(0), force_even=True)
+    assert random_involution(1, random.Random(0)).translation.bits == 1
+    assert random_involution(2, random.Random(0), force_even=True).is_even()
