@@ -25,6 +25,9 @@ valid ones -- products, inverses, conjugates, and every element of a closure
 same immutable classes, with their slots filled and no checks repeated.
 `generate_group` runs its breadth-first search over the keys alone and wraps
 them as views at the end. Operations are pure functions.
+
+One coset search finds the transporter {g : g^-1 K g = L}: `conjugating_element`
+takes its first element, and `normalizer` is the transporter from K to itself.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ DEFAULT_GROUP_CAP = 2**20
 
 MAX_DIMENSION = 32
 
-# The coordinate search of `normalizer` (|K| > 2) runs while 2^n n! <= this.
+# The coset search of `normalizer` (|K| > 2) and `conjugating_element` runs while 2^n n! <= this.
 _COSET_SEARCH_CAP = 10**8
 
 
@@ -743,28 +746,28 @@ def normalizing_translations(K: CubeGroup) -> list[int]:
 
 
 class _LiftSolver:
-    """The translations y for which (y, tau) normalizes K, for a given tau.
+    """The translations y for which (y, tau) conjugates K's generators into L.
 
     Conjugating a generator (x, s) of K by (y, tau) gives
-    (y^s' xor y xor x^tau, s') with s' = tau^-1 s tau. The elements of K over
-    s' form a coset x_s' + T, so the conjugate lies in K iff s' is a
-    coordinate part of K and (s' + 1) y = x^tau xor x_s' modulo T. For a
-    fixed tau this is one affine system over F_2; its solutions, when there
-    are any, form a coset y_tau + Y_0.
+    (y^s' xor y xor x^tau, s') with s' = tau^-1 s tau. The elements of L over
+    s' form a coset x_s' + T, T the translations in L, so the conjugate lies
+    in L iff s' is a coordinate part of L and (s' + 1) y = x^tau xor x_s'
+    modulo T. For a fixed tau this is one affine system over F_2; its
+    solutions, when there are any, form a coset of Y_0(L).
     """
 
-    def __init__(self, K: CubeGroup):
+    def __init__(self, K: CubeGroup, L: CubeGroup):
         self.n = K.n
-        self.t_pivots = _translation_pivots(K)
+        self.t_pivots = _translation_pivots(L)
         self.fibres: dict[tuple[int, ...], int] = {}
-        for g in K:
+        for g in L:
             self.fibres.setdefault(g.perm.images, g.translation.bits)
         self.gens = [(g.translation.bits, g.perm.images) for g in K.generators]
         # echelon rows per tuple of conjugated coordinate parts (s'_j)
         self._systems: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
 
     def lift(self, tau: Permutation) -> Optional[int]:
-        """Some y with (y, tau) in N(K), or None when there is none."""
+        """Some y with (y, tau) conjugating K's generators into L, or None."""
         n = self.n
         t = tau.images
         tinv = _inverse_images(t)
@@ -818,22 +821,23 @@ def _involution_coordinate_generators(
     return taus, order
 
 
-def _admissible_coordinate_parts(K: CubeGroup) -> list[Permutation]:
-    """Every tau that passes the y-free tests of conjugating K's generators.
+def _admissible_coordinate_parts(K: CubeGroup, L: CubeGroup) -> Iterator[Permutation]:
+    """Every tau that passes the y-free tests of conjugating K's generators
+    into L, in lexicographic order of the images, one at a time.
 
-    For a generator (x, s), tau^-1 s tau must lie in pi(K), the set of
-    coordinate parts of K; when s = id the conjugate is (x^tau, id), so x^tau
-    must also lie in T, the translations in K. tau is built one coordinate at
-    a time. For each generator the search keeps the p in pi(K) that agree
+    For a generator (x, s) of K, tau^-1 s tau must lie in pi(L), the set of
+    coordinate parts of L; when s = id the conjugate is (x^tau, id), so x^tau
+    must also lie in T, the translations in L. tau is built one coordinate at
+    a time. For each generator the search keeps the p in pi(L) that agree
     with p(tau(j)) = tau(s(j)) (that is, p = tau^-1 s tau) on the
     coordinates assigned so far, or the t in T with t_tau(j) = x_j, and backs
     up as soon as some generator has none left. While s(j) is unassigned,
     p(tau(j)) must still be a free image.
     """
     n = K.n
-    parts = list(dict.fromkeys(g.perm.images for g in K))
+    parts = list(dict.fromkeys(g.perm.images for g in L))
     perm_gens = list(dict.fromkeys(g.perm.images for g in K.generators if not g.perm.is_identity()))
-    translations = [g.translation.bits for g in K if g.perm.is_identity()]
+    translations = [g.translation.bits for g in L if g.perm.is_identity()]
     trans_gens = [g.translation.bits for g in K.generators if g.perm.is_identity()]
     # checks[g][i]: the j whose constraint is tested once tau(i) is assigned:
     # j = i, and the earlier j with s(j) = i
@@ -842,11 +846,10 @@ def _admissible_coordinate_parts(K: CubeGroup) -> list[Permutation]:
     ]
     tau = [0] * n
     used = [False] * n
-    found: list[Permutation] = []
 
     def search(i: int, perm_cands: list[list[tuple[int, ...]]], trans_cands: list[list[int]]):
         if i == n:
-            found.append(Permutation(tau))
+            yield Permutation(tau)
             return
         for v in range(n):
             if used[v]:
@@ -874,11 +877,10 @@ def _admissible_coordinate_parts(K: CubeGroup) -> list[Permutation]:
                         break
                     narrowed_t.append(keep)
                 else:
-                    search(i + 1, narrowed_p, narrowed_t)
+                    yield from search(i + 1, narrowed_p, narrowed_t)
             used[v] = False
 
-    search(0, [parts] * len(perm_gens), [translations] * len(trans_gens))
-    return found
+    return search(0, [parts] * len(perm_gens), [translations] * len(trans_gens))
 
 
 def _even_subgroup(
@@ -901,6 +903,7 @@ def _even_subgroup(
 def normalizer(K: CubeGroup, ambient: str = "full", cap: int = DEFAULT_GROUP_CAP) -> CubeGroup:
     """N = {g in ambient : g^-1 K g = K} as a CubeGroup, built from generators.
 
+    N is the transporter from K to itself (see `conjugating_element`).
     The normalizing translations Y_0 are the kernel of the coordinate-part
     map N -> S_n, so N is generated by a basis of Y_0 and one lift (y, tau)
     of each generator tau of its image P, and |N| = |Y_0| |P|. Two routes
@@ -930,14 +933,14 @@ def normalizer(K: CubeGroup, ambient: str = "full", cap: int = DEFAULT_GROUP_CAP
         k0 = next(g for g in K if not g.is_identity())
         taus, expected = _involution_coordinate_generators(n, k0.translation.bits, k0.perm)
     elif (1 << n) * math.factorial(n) <= _COSET_SEARCH_CAP:
-        taus, expected = _admissible_coordinate_parts(K), None
+        taus, expected = _admissible_coordinate_parts(K, K), None
     else:
         raise Unsupported(
             f"normalizer for |K|={K.order} at n={n}: the coordinate search covers |K| > 2 "
             f"only while 2^n n! <= {_COSET_SEARCH_CAP}"
         )
     builder = _GroupBuilder(n)
-    solver = _LiftSolver(K)
+    solver = _LiftSolver(K, K)
     lifts = 0
     for tau in taus:
         y = solver.lift(tau)
@@ -969,6 +972,30 @@ def normalizer(K: CubeGroup, ambient: str = "full", cap: int = DEFAULT_GROUP_CAP
             raise InvariantViolated(f"normalizer closure has order {group.order}, expected {order}")
         elements = group.elements
     return CubeGroup(n, gens, elements, order)
+
+
+def conjugating_element(K: CubeGroup, L: CubeGroup) -> Optional[CubeAutomorphism]:
+    """Some g with g^-1 K g = L, or None when K and L are not conjugate.
+
+    The coset search of `normalizer` with L on the right gives (y_tau, tau)
+    for the first tau with a lift. Conjugation is injective, so for |K| = |L|
+    mapping K's generators into L is enough. Unsupported when 2^n n! > 10^8.
+    """
+    n = K.n
+    if L.n != n:
+        raise DimensionMismatch(f"groups of dimension {n} and {L.n}")
+    if K.order != L.order:
+        return None
+    if K.is_trivial:
+        return CubeAutomorphism.identity(n)
+    if (1 << n) * math.factorial(n) > _COSET_SEARCH_CAP:
+        raise Unsupported(f"conjugacy at n={n}: coset search needs 2^n n! <= {_COSET_SEARCH_CAP}")
+    solver = _LiftSolver(K, L)
+    for tau in _admissible_coordinate_parts(K, L):
+        y = solver.lift(tau)
+        if y is not None:
+            return CubeAutomorphism(BitVector(n, y), tau)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .cube_symmetry import (
     _translation_pivots,
     normalizing_translations,
 )
-from .errors import DimensionMismatch, DimensionTooLarge
+from .errors import DimensionMismatch, DimensionTooLarge, PreconditionViolated
 from .graph_core import LocalParams, SimpleGraph, bits_of, local_params
 from .perm_groups import orbit_minima
 
@@ -155,7 +155,10 @@ def translation_roots(Q: QuotientGraph) -> list[int]:
 
 
 def quotient_params(Q: QuotientGraph, max_level: int) -> list[LocalParams]:
-    """`local_params` of the quotient graph, searched from `translation_roots` only."""
+    """`local_params` of the quotient graph, searched from `translation_roots` only.
+    A quotient of Q_n has diameter at most n, so levels above n are refused."""
+    if max_level > Q.n:
+        raise PreconditionViolated(f"max_level {max_level} exceeds the dimension n={Q.n}")
     return local_params(Q.graph, max_level, roots=translation_roots(Q))
 
 

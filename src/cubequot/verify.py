@@ -28,6 +28,7 @@ from .cube_symmetry import (
     Permutation,
     _cycle_data,
     conjugate_group,
+    conjugating_element,
     element_min_distance,
     generate_group,
     intersect_even,
@@ -188,21 +189,27 @@ def random_involution(
             return g
 
 
+def _random_cyclic4(n: int, rng: random.Random) -> Optional[CubeGroup]:
+    """<(y, sigma)> for sigma the coordinate part of a random involution and a
+    random y, when that is cyclic of order 4; None when the draw is not."""
+    sigma = random_involution(n, rng).perm
+    if sigma.is_identity():
+        return None
+    g = CubeAutomorphism(BitVector(n, rng.randrange(1 << n)), sigma)
+    if g.compose(g).is_identity():
+        return None
+    return generate_group([g], cap=5)
+
+
 def random_subgroup(n: int, order: int, rng: random.Random) -> CubeGroup:
     """A random subgroup of the requested order (2, 4, or 8)."""
     if order == 2:
         return generate_group([random_involution(n, rng)])
     for _ in range(500):
         if order == 4 and rng.randrange(2):
-            # cyclic of order 4: (y, sigma) with sigma an involution, y not fixed
-            g = random_involution(n, rng)
-            if g.perm.is_identity():
+            K = _random_cyclic4(n, rng)
+            if K is None:
                 continue
-            y = rng.randrange(1 << n)
-            cand = CubeAutomorphism(BitVector(n, y), g.perm)
-            if cand.compose(cand).is_identity():
-                continue
-            K = generate_group([cand], cap=order + 1)
         else:
             gens = [random_involution(n, rng) for _ in range(2 if order == 4 else 3)]
             try:
@@ -255,33 +262,13 @@ def brute_force_min_distance(K: CubeGroup):
     """Independent route to d_K: scans all 2^n vertices per element."""
     if K.is_trivial:
         return INFINITY
-    n = K.n
-    pc = _popcount_table(n)
-    vs = np.arange(1 << n, dtype=np.int64)
-    best = None
-    for g in K.non_identity():
-        moved = image_tables([(g.translation.bits, g.perm.images)])[0]
-        d = int(pc[vs ^ moved].min())
-        best = d if best is None else min(best, d)
-    return best
+    moved = image_tables([(g.translation.bits, g.perm.images) for g in K.non_identity()])
+    return int(np.bitwise_count(moved ^ np.arange(1 << K.n)).min())
 
 
 # ---------------------------------------------------------------------------
 # Vectorized element scans over the whole ambient group
 # ---------------------------------------------------------------------------
-
-_POP_CACHE: dict[int, np.ndarray] = {}
-
-
-def _popcount_table(n: int) -> np.ndarray:
-    if n not in _POP_CACHE:
-        vs = np.arange(1 << n, dtype=np.int64)
-        pc = np.zeros(1 << n, dtype=np.int64)
-        for i in range(n):
-            pc += (vs >> i) & 1
-        _POP_CACHE[n] = pc
-    return _POP_CACHE[n]
-
 
 def elements_with_distance_at_least(
     n: int, threshold: int
@@ -293,15 +280,14 @@ def elements_with_distance_at_least(
     threshold. Uses the per-permutation closed form, vectorized over the
     translation part.
     """
-    pc = _popcount_table(n)
     ys = np.arange(1 << n, dtype=np.int64)
     identity = tuple(range(n))
     out = []
     for images in itertools.permutations(range(n)):
         fixed_mask, cycle_masks = _cycle_data(images)
-        d = pc[ys & fixed_mask].copy()
+        d = np.bitwise_count(ys & fixed_mask)
         for mask in cycle_masks:
-            d += pc[ys & mask] & 1
+            d += np.bitwise_count(ys & mask) & 1
         for y in np.nonzero(d >= threshold)[0]:
             y = int(y)
             if y == 0 and images == identity:
@@ -406,6 +392,15 @@ def _sphere_vs_weight_classes(Q: QuotientGraph, x: int, level: int):
     return ball, reach
 
 
+def _orbit_map(Q: QuotientGraph, images) -> Optional[list[int]]:
+    """The map on Q's orbits induced by v -> images[v] on cube vertices, or
+    None when images is not constant on some orbit."""
+    mapping = images[np.array(Q.reps)]
+    if not np.array_equal(mapping[np.array(Q.orbit_index)], images):
+        return None
+    return mapping.tolist()
+
+
 def _default_grid(seed: int, per_n: int = 10, ns: Sequence[int] = (4, 5, 6, 7, 8)):
     """A modest sampled grid of subgroups for the distance-parameter claims."""
     groups: list[CubeGroup] = []
@@ -500,16 +495,9 @@ def check_even_lemma(K: CubeGroup) -> ClaimReport:
         QL = build_quotient(L)
         dbl = bipartite_double(Q.graph)
         # explicit isomorphism x^L -> (x^K, wt(x) mod 2)
-        mapping = [-1] * QL.vertex_count
-        consistent = True
-        for v in range(1 << K.n):
-            src = QL.orbit_index[v]
-            dst = Q.orbit_index[v] + (bin(v).count("1") % 2) * Q.vertex_count
-            if mapping[src] == -1:
-                mapping[src] = dst
-            elif mapping[src] != dst:
-                consistent = False
-        double_iso = consistent and verify_isomorphism(QL.graph, dbl, mapping)
+        parity = np.bitwise_count(np.arange(1 << K.n)).astype(np.int64) & 1
+        mapping = _orbit_map(QL, np.array(Q.orbit_index) + parity * Q.vertex_count)
+        double_iso = mapping is not None and verify_isomorphism(QL.graph, dbl, mapping)
         witnesses["double_isomorphic_to_even_part_quotient"] = double_iso
         ok = ok and double_iso
         if d >= 4:
@@ -621,16 +609,10 @@ def _lem_cycle(seed: int) -> ClaimReport:
             continue
         Q = build_quotient(K)
         # witness: project a geodesic from x to x^k for a distance-realizing pair
-        best = None
-        for g in K.non_identity():
-            if element_min_distance(g) == d:
-                for x in range(1 << K.n):
-                    y = g.act_bits(x)
-                    if bin(x ^ y).count("1") == d:
-                        best = (x, y)
-                        break
-                break
-        x, y = best
+        g = next(g for g in K.non_identity() if element_min_distance(g) == d)
+        table = image_tables([(g.translation.bits, g.perm.images)])[0]
+        x = int(np.argmax(np.bitwise_count(np.arange(1 << K.n) ^ table) == d))
+        y = int(table[x])
         walk = [x]
         cur = x
         for i in range(K.n):
@@ -851,15 +833,9 @@ def _prop_conjugate(seed: int) -> ClaimReport:
             L = conjugate_group(K, g)
             QK = build_quotient(K)
             QL = build_quotient(L)
-            mapping = [-1] * QK.vertex_count
-            consistent = True
-            for v in range(1 << n):
-                src = QK.orbit_index[v]
-                dst = QL.orbit_index[g.act_bits(v)]
-                if mapping[src] == -1:
-                    mapping[src] = dst
-                elif mapping[src] != dst:
-                    consistent = False
+            table = image_tables([(g.translation.bits, g.perm.images)])[0]
+            mapping = _orbit_map(QK, np.array(QL.orbit_index)[table])
+            consistent = mapping is not None
             ok = consistent and verify_isomorphism(QK.graph, QL.graph, mapping)
             checked += 1
             if not ok:
@@ -870,20 +846,6 @@ def _prop_conjugate(seed: int) -> ClaimReport:
                     {"diagram_commutes": consistent},
                 )
     return _report("prop-conjugate", True, {"pairs": checked}, {"all_diagrams_commute": True})
-
-
-def _conjugacy_brute(K: CubeGroup, L: CubeGroup) -> Optional[CubeAutomorphism]:
-    """Search all of Aut(Q_n) for g with g^-1 K g = L (n <= 6)."""
-    n = K.n
-    if K.order != L.order:
-        return None
-    for images in itertools.permutations(range(n)):
-        tau = Permutation(images)
-        for y in range(1 << n):
-            g = CubeAutomorphism(BitVector(n, y), tau)
-            if all(k.conjugated_by(g) in L for k in K.generators):
-                return g
-    return None
 
 
 def sample_groups_with_min_distance(
@@ -906,14 +868,9 @@ def sample_groups_with_min_distance(
             K = generate_group([g])
         else:
             # order-4 cyclic: possible from n = 8 up
-            g = random_involution(n, rng)
-            if g.perm.is_identity():
+            K = _random_cyclic4(n, rng)
+            if K is None:
                 continue
-            y = rng.randrange(1 << n)
-            cand = CubeAutomorphism(BitVector(n, y), g.perm)
-            if cand.compose(cand).is_identity():
-                continue
-            K = generate_group([cand], cap=8)
         if min_distance(K) >= bound:
             out.append(K)
     return out
@@ -941,7 +898,7 @@ def _thm_conjugate_simple(seed: int) -> ClaimReport:
                     {"group": describe_group(K), "g": repr(g)},
                     {"direction": "conjugate->isomorphic"},
                 )
-    # both directions at n = 6, where conjugacy is brute-force decidable
+    # both directions at n = 6
     n = 6
     pool = [
         generate_group([CubeAutomorphism.translation_by(BitVector.from_support(n, c))])
@@ -954,7 +911,7 @@ def _thm_conjugate_simple(seed: int) -> ClaimReport:
     ]
     cross = 0
     for K, L in itertools.combinations(pool, 2):
-        conj = _conjugacy_brute(K, L) is not None
+        conj = conjugating_element(K, L) is not None
         w = are_isomorphic(build_quotient(K).graph, build_quotient(L).graph)
         iso = w is not None
         cross += 1

@@ -131,6 +131,20 @@ def test_params_negative_level_is_typed_error(tmp_path, capsys):
     assert err.startswith("error:PRECONDITION_VIOLATED:") and err.count("\n") == 1
 
 
+def test_params_level_above_dimension_is_typed_error(tmp_path, capsys):
+    # a quotient of Q_n has diameter at most n: level n is the last one asked
+    path = tmp_path / "k.grp"
+    path.write_text("n=6\nx=111111 perm=id\n", encoding="utf-8")
+    code, out, err = run_cli(["params", str(path), "--max-level", "7"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:PRECONDITION_VIOLATED:") and err.count("\n") == 1
+    code, out, _ = run_cli(["params", str(path), "--format", "json", "--max-level", "6"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["valency"] == 6 and [lvl["i"] for lvl in data["levels"]] == list(range(7))
+    assert [lvl["c"] for lvl in data["levels"][1:]] == [1, 2, 6, "VACUOUS", "VACUOUS", "VACUOUS"]
+
+
 def test_aut_folded6(tmp_path, capsys):
     path = tmp_path / "folded6.grp"
     path.write_text("n=6\nx=111111 perm=id\n", encoding="utf-8")

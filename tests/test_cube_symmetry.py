@@ -25,15 +25,27 @@ from cubequot import (
     parse_group_text,
 )
 from cubequot.covering import deck_group, lift_covering
-from cubequot.cube_symmetry import _cycle_data, _monomial_perm, standard_generators
+from cubequot.cube_symmetry import (
+    _cycle_data,
+    _monomial_perm,
+    conjugating_element,
+    standard_generators,
+)
 from cubequot.errors import (
     DimensionMismatch,
     GroupTooLarge,
     IdentityElement,
     ParseError,
+    Unsupported,
 )
 from cubequot.quotient import build_quotient
-from cubequot.verify import random_involution, random_subgroup, sample_subgroups
+from cubequot.verify import (
+    describe_group,
+    random_involution,
+    random_subgroup,
+    sample_groups_with_min_distance,
+    sample_subgroups,
+)
 
 from conftest import QUATERNION_FILE, brute_element_distance, folded_cube_group
 
@@ -639,8 +651,6 @@ def test_normalizer_transposition_involution():
 
 
 def test_normalizer_unsupported_above_tiers():
-    from cubequot.errors import Unsupported
-
     # |K| = 4 at n = 9 exceeds the ambient-scan bound and is not order 2
     gens = [
         CubeAutomorphism.translation_by(BitVector.from_support(9, (1, 2, 3, 4, 5))),
@@ -819,14 +829,92 @@ def test_normalizer_of_involution_with_large_centralizer():
 
 
 def test_intersect_even_needs_elements():
-    from cubequot.errors import Unsupported
-
     N = normalizer(generate_group(
         [CubeAutomorphism.translation_by(BitVector.all_ones(10))]
     ), "full", cap=1)
     assert N.elements is None
     with pytest.raises(Unsupported):
         intersect_even(N)
+
+
+# ---------------------------------------------------------------------------
+# Conjugacy: the transporter from K to L
+# ---------------------------------------------------------------------------
+
+
+def conjugacy_brute(K, L):
+    """Search all of Aut(Q_n) for g with g^-1 K g = L."""
+    n = K.n
+    if K.order != L.order:
+        return None
+    for images in itertools.permutations(range(n)):
+        tau = Permutation(images)
+        for y in range(1 << n):
+            g = CubeAutomorphism(BitVector(n, y), tau)
+            if all(k.conjugated_by(g) in L for k in K.generators):
+                return g
+    return None
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_conjugating_element_matches_brute_force(n):
+    # two independent draws of each order, and a conjugate of the first;
+    # fewer draws at n = 6, where one brute-force scan covers 46,080 elements
+    rng = random.Random(f"conjugacy:{n}")
+    pairs = []
+    for order in (2, 4, 8):
+        for _ in range(4 if n < 6 else 1):
+            K = random_subgroup(n, order, rng)
+            pairs.append((K, random_subgroup(n, order, rng)))
+            pairs.append((K, conjugate_group(K, random_element(n, rng))))
+    verdicts = []
+    for K, L in pairs:
+        g = conjugating_element(K, L)
+        verdicts.append(g is not None)
+        assert verdicts[-1] == (conjugacy_brute(K, L) is not None), (K, L)
+        if g is not None:
+            assert all(k.conjugated_by(g) in L for k in K.generators)
+            assert conjugate_group(K, g).same_group_as(L)
+    assert all(verdicts[1::2])  # the conjugates
+
+
+def test_conjugating_element_edge_cases():
+    def translations(n, *supports):
+        return generate_group(
+            [CubeAutomorphism.translation_by(BitVector.from_support(n, c)) for c in supports]
+        )
+
+    K2, K4 = translations(5, (1, 2, 3)), translations(5, (1, 2), (3, 4))
+    assert conjugating_element(K2, K4) is None
+    assert conjugating_element(K4, K2) is None
+    with pytest.raises(DimensionMismatch):
+        conjugating_element(K2, translations(6, (1, 2, 3)))
+    assert conjugating_element(CubeGroup.trivial(5), CubeGroup.trivial(5)).is_identity()
+    K9 = translations(9, (1, 2, 3, 4, 5), (5, 6, 7, 8, 9))
+    with pytest.raises(Unsupported):
+        conjugating_element(K9, K9)
+
+
+def test_sampler_draws_are_pinned():
+    # the order-4 cyclic draws of both samplers, recorded before they shared
+    # one helper; a changed draw changes these groups or the ones after them
+    rng = random.Random("pin-cyclic4")
+    assert [describe_group(random_subgroup(n, 4, rng)) for n in (5, 6, 8)] == [
+        "n=5 order=4 gens=[x=11000 perm=(1 3)(4 5)]",
+        "n=6 order=4 gens=[x=000001 perm=(1 5)(2 3)(4 6)]",
+        "n=8 order=4 gens=[x=01110000 perm=(1 3)(7 8)]",
+    ]
+    drawn = sample_groups_with_min_distance(8, 2, 8, random.Random("pin-mindist"))
+    assert [describe_group(K) for K in drawn] == [
+        "n=8 order=2 gens=[x=01001101 perm=id]",
+        "n=8 order=4 gens=[x=00111100 perm=(3 7)(6 8)]",
+        "n=8 order=2 gens=[x=00110010 perm=id]",
+        "n=8 order=2 gens=[x=11111001 perm=(1 3)]",
+        "n=8 order=2 gens=[x=10000111 perm=(1 6)(2 5)]",
+        "n=8 order=4 gens=[x=10001011 perm=(1 4)(5 6)]",
+        "n=8 order=2 gens=[x=11001111 perm=id]",
+        "n=8 order=2 gens=[x=00010100 perm=id]",
+    ]
 
 
 # ---------------------------------------------------------------------------

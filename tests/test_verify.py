@@ -31,7 +31,7 @@ from cubequot.verify import (
     reports_to_json,
     run_all,
 )
-from cubequot.verify import _quaternion_group, _rng
+from cubequot.verify import _orbit_map, _quaternion_group, _rng
 
 from conftest import folded_cube_group
 
@@ -132,6 +132,43 @@ def test_brute_force_min_distance_agrees():
         for i in range(10):
             K = random_subgroup(n, 2 * (1 + i % 2), _rng(0, "bf", n, i))
             assert brute_force_min_distance(K) == min_distance(K)
+
+
+def orbit_map_loop(Q, images):
+    """The per-vertex loop `_orbit_map` replaced: the image of each orbit's
+    first vertex, or None when a later vertex of the orbit disagrees."""
+    mapping = [-1] * Q.vertex_count
+    for v, dst in enumerate(images):
+        src = Q.orbit_index[v]
+        if mapping[src] == -1:
+            mapping[src] = dst
+        elif mapping[src] != dst:
+            return None
+    return mapping
+
+
+def test_orbit_map_matches_vertex_loop():
+    import numpy as np
+
+    from cubequot import conjugate_group
+    from cubequot.quotient import build_quotient, image_tables
+    from cubequot.verify import random_automorphism
+
+    rng = _rng(0, "orbit-map")
+    induced = 0
+    for n in (4, 5, 6):
+        for order in (2, 4, 8):
+            K = random_subgroup(n, order, rng)
+            g = random_automorphism(n, rng)
+            QK, QL = build_quotient(K), build_quotient(conjugate_group(K, g))
+            table = image_tables([(g.translation.bits, g.perm.images)])[0]
+            vs = np.arange(1 << n)
+            index = np.array(QL.orbit_index)
+            for images in (index[table], index[vs ^ 1], vs, index[table] + (vs & 1)):
+                expected = orbit_map_loop(QK, images.tolist())
+                assert _orbit_map(QK, images) == expected
+                induced += expected is not None
+    assert 0 < induced < 36
 
 
 def test_check_theorem_class_dist_examples():
