@@ -23,7 +23,7 @@ from .cube_symmetry import (
     min_distance,
     parse_group_file,
 )
-from .errors import CubeQuotError, UnknownClaim
+from .errors import CubeQuotError, PreconditionViolated, UnknownClaim
 from .graph_core import halved_graphs
 from .iso_aut import are_isomorphic, automorphism_group
 from .quotient import build_quotient, quotient_params
@@ -74,6 +74,10 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_halves(args) -> int:
+    if args.format == "dot" and not args.out:
+        raise PreconditionViolated(
+            "DOT output writes two files, one per half; it needs --out PREFIX"
+        )
     K = _load_group(args)
     Q = build_quotient(K)
     h0, h1 = halved_graphs(Q.graph)

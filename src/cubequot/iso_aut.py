@@ -1,14 +1,19 @@
 """Graph isomorphism, automorphism groups, and vertex-transitivity.
 
-Both searches run individualization-refinement: vertices are colored by an
-isomorphism-invariant signature (degree plus distance-sphere profile), the
-coloring is refined to equitability by iterated neighbor-color multisets,
-and the search branches on the first largest non-singleton color class,
-smallest vertex first. Automorphisms are read off by comparing discrete
-colorings against the first leaf; candidate branches are pruned by orbits
-of the automorphisms already found (restricted to those fixing the current
-prefix) and by comparing refinement traces against the first path. Every
-witness is re-verified edge by edge before it is returned or recorded.
+One individualization-refinement search serves both questions. Vertices are
+colored by an isomorphism-invariant signature (degree plus distance-sphere
+profile), the coloring is refined to equitability by iterated neighbor-color
+multisets, and the search branches on the first largest non-singleton color
+class, smallest vertex first. G's first path takes the smallest vertex at
+every depth and records the class sizes after each refinement (its trace)
+and its leaf. A tree search of X then follows every branch whose trace
+matches, and reads a leaf as the map taking the vertex of each color in G's
+first leaf to the vertex of that color in X's leaf. With X = G the maps are
+automorphisms; branches are also pruned by the orbits of the automorphisms
+already found that fix the current prefix (McKay's "Practical graph
+isomorphism", 1981). With X = H the first map that checks is an
+isomorphism G -> H. Every map is checked edge by edge before it is
+returned or recorded.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvariantViolated, TooLarge
+from .errors import TooLarge
 from .graph_core import SimpleGraph, bits_of
-from .perm_groups import PermutationGroup, orbit_minima
+from .perm_groups import group_from_generators, orbit_minima
 
 MAX_ISO_VERTICES = 2000
 MAX_AUT_VERTICES = 512
@@ -92,89 +97,108 @@ def _leaf_labeling(colors: list[int]) -> list[int]:
     return lab
 
 
-def _is_graph_automorphism(adj: Sequence[int], p: Sequence[int]) -> bool:
-    for v in range(len(adj)):
-        m = 0
-        for w in bits_of(adj[v]):
-            m |= 1 << p[w]
-        if m != adj[p[v]]:
-            return False
-    return True
+def _first_path(nbrs: list[list[int]], colors: list[int]) -> tuple[list[int], list[list[int]]]:
+    """G's leftmost path: the smallest vertex of the target cell at each depth.
+
+    Returns the path and the refined colorings along it, from `colors` to
+    the discrete leaf.
+    """
+    path: list[int] = []
+    colorings = [colors]
+    cell = _target_cell(colors)
+    while cell != -1:
+        path.append(colors.index(cell))
+        colors = _refine(nbrs, _individualize(colors, path[-1]))
+        colorings.append(colors)
+        cell = _target_cell(colors)
+    return path, colorings
 
 
 # ---------------------------------------------------------------------------
-# Automorphism search
+# One search: G's first path against the tree of X (G itself or H)
 # ---------------------------------------------------------------------------
 
 
-def automorphism_generators(G: SimpleGraph) -> list[tuple[int, ...]]:
-    """Generators of Aut(G), each verified to preserve adjacency."""
-    n = G.n
-    if n == 0:
-        return []
-    adj = G.adj
-    nbrs = [G.neighbors(v) for v in range(n)]
-    colors0 = _refine(nbrs, _canonical_colors(_invariant_values(G)))
-    gens: list[tuple[int, ...]] = []
-    first_leaf: list[Optional[list[int]]] = [None]
-    first_trace: list[tuple] = []
-    identity = tuple(range(n))
+def _search(
+    G: SimpleGraph,
+    X: SimpleGraph,
+    nbrs: list[list[int]],
+    colors: list[int],
+    first: tuple[list[int], list[list[int]]],
+    on_first_path: bool,
+) -> list[tuple[int, ...]]:
+    """The leaves of X's tree that map G onto X, as found.
 
-    def rec(colors: list[int], depth: int, prefix: list[int]) -> None:
-        if max(colors) + 1 == n:
+    `nbrs` and `colors` are X's neighbor lists and refined coloring; `first`
+    is G's first path. A branch is followed while its class sizes after
+    each refinement (its trace) match the first path's. A leaf gives the
+    map base[c] -> lab[c], checked edge by edge. With X = G and
+    `on_first_path` set, the search skips the first-path leaf (the
+    identity) and collects generators of Aut(G); otherwise it stops at the
+    first leaf that checks.
+    """
+    path, colorings = first
+    traces = [_class_sizes(c) for c in colorings[1:]]
+    base = _leaf_labeling(colorings[-1])
+    n = X.n
+    found: list[tuple[int, ...]] = []
+
+    def rec(colors: list[int], prefix: list[int], on_path: bool) -> bool:
+        depth = len(prefix)
+        if depth == len(path):
+            if on_path:
+                return False
             lab = _leaf_labeling(colors)
-            if first_leaf[0] is None:
-                first_leaf[0] = lab
-                return
-            base = first_leaf[0]
             p = [0] * n
             for c in range(n):
                 p[base[c]] = lab[c]
-            p = tuple(p)
-            if p != identity and _is_graph_automorphism(adj, p):
-                gens.append(p)
-            return
-        # frames entered before the first leaf exists lie on the leftmost
-        # path and must run their whole candidate loop; any other frame may
-        # stop after one success, because further leaves below it only give
-        # products of that success with prefix stabilizer elements already
-        # generated along the first path
-        on_first_path = first_leaf[0] is None
+            if not verify_isomorphism(G, X, p):
+                return False
+            found.append(tuple(p))
+            return True
+        # frames on G's first path run their whole candidate loop; any other
+        # frame may stop after one success, because further leaves below it
+        # only give products of that success with prefix stabilizer elements
+        # already generated along the first path (off G's own tree, the first
+        # success is the isomorphism and ends the search)
         cell = _target_cell(colors)
         candidates = [v for v in range(n) if colors[v] == cell]
         explored: list[int] = []
-        # orbit minima of the generators fixing the prefix, redone when gens grows
+        # orbit minima of the automorphisms fixing the prefix, redone when found grows
         orbit: Optional[list[int]] = None
         orbit_gens = 0
         for v in candidates:
             if explored:
-                if len(gens) != orbit_gens:
-                    orbit_gens = len(gens)
-                    fixers = [g for g in gens if all(g[x] == x for x in prefix)]
+                if len(found) != orbit_gens:
+                    orbit_gens = len(found)
+                    fixers = [g for g in found if all(g[x] == x for x in prefix)]
                     orbit = orbit_minima(fixers).tolist() if fixers else None
                 if orbit is not None and any(orbit[w] == orbit[v] for w in explored):
                     explored.append(v)
                     continue
-            child = _refine(nbrs, _individualize(colors, v))
-            trace = tuple(_class_sizes(child))
-            if first_leaf[0] is None:
-                # still descending the leftmost path; record its trace
-                if len(first_trace) != depth:
-                    raise InvariantViolated("first-path trace out of step with the depth")
-                first_trace.append(trace)
-            elif trace != first_trace[depth]:
-                explored.append(v)
-                continue
-            found_before = len(gens)
-            rec(child, depth + 1, prefix + [v])
             explored.append(v)
-            if not on_first_path and len(gens) > found_before:
-                return
-        if first_leaf[0] is None:
-            raise InvariantViolated("search left the first path without a leaf")
+            stays = on_path and v == path[depth]
+            if stays:
+                child = colorings[depth + 1]  # refined once already
+            else:
+                child = _refine(nbrs, _individualize(colors, v))
+                if _class_sizes(child) != traces[depth]:
+                    continue
+            if rec(child, prefix + [v], stays) and not on_path:
+                return True
+        return False
 
-    rec(colors0, 0, [])
-    return gens
+    rec(colors, [], on_first_path)
+    return found
+
+
+def automorphism_generators(G: SimpleGraph) -> list[tuple[int, ...]]:
+    """Generators of Aut(G), each verified to preserve adjacency."""
+    if G.n == 0:
+        return []
+    nbrs = [G.neighbors(v) for v in range(G.n)]
+    colors = _refine(nbrs, _canonical_colors(_invariant_values(G)))
+    return _search(G, G, nbrs, colors, _first_path(nbrs, colors), True)
 
 
 @dataclass(frozen=True)
@@ -202,10 +226,7 @@ def automorphism_group(G: SimpleGraph) -> PermGroupOnGraph:
     if G.n > MAX_AUT_VERTICES:
         raise TooLarge(f"automorphism search capped at {MAX_AUT_VERTICES} vertices")
     gens = automorphism_generators(G)
-    bsgs = PermutationGroup(max(G.n, 1))
-    for g in gens:
-        bsgs.add_generator(g)
-    return PermGroupOnGraph(G.n, tuple(gens), bsgs.order())
+    return PermGroupOnGraph(G.n, tuple(gens), group_from_generators(max(G.n, 1), gens).order())
 
 
 def is_vertex_transitive(G: SimpleGraph) -> bool:
@@ -213,26 +234,23 @@ def is_vertex_transitive(G: SimpleGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism search
+# Isomorphism
 # ---------------------------------------------------------------------------
 
 
-def _side_balanced(colors: list[int], n: int) -> bool:
-    """Each color class must hold equally many vertices of either graph."""
-    balance = [0] * (max(colors) + 1)
-    for v, c in enumerate(colors):
-        balance[c] += 1 if v < n else -1
-    return not any(balance)
-
-
 def verify_isomorphism(G: SimpleGraph, H: SimpleGraph, mapping: Sequence[int]) -> bool:
-    """Edge-by-edge check that mapping is a graph isomorphism G -> H."""
-    if G.n != H.n or len(mapping) != G.n or G.edge_count != H.edge_count:
+    """Whether mapping is an isomorphism G -> H, checked vertex by vertex.
+
+    It must be a bijection that maps G.adj[v] onto H.adj[mapping[v]] for every v.
+    """
+    n = G.n
+    if H.n != n or len(mapping) != n or sorted(mapping) != list(range(n)):
         return False
-    if sorted(mapping) != list(range(G.n)):
-        return False
-    for u, v in G.edges():
-        if not H.has_edge(mapping[u], mapping[v]):
+    for v in range(n):
+        m = 0
+        for w in bits_of(G.adj[v]):
+            m |= 1 << mapping[w]
+        if m != H.adj[mapping[v]]:
             return False
     return True
 
@@ -252,53 +270,15 @@ def are_isomorphic(G: SimpleGraph, H: SimpleGraph) -> Optional[list[int]]:
     n = G.n
     if n == 0:
         return []
-    adj = list(G.adj) + [m << n for m in H.adj]
-    nbrs = [list(bits_of(m)) for m in adj]
-    inv = _invariant_values(G) + _invariant_values(H)
-    if sorted(inv[:n]) != sorted(inv[n:]):
+    inv_G, inv_H = _invariant_values(G), _invariant_values(H)
+    if sorted(inv_G) != sorted(inv_H):
         return None
-    colors0 = _refine(nbrs, _canonical_colors(inv))
-    if not _side_balanced(colors0, n):
+    colors = _canonical_colors(inv_G + inv_H)
+    nbrs_G = [G.neighbors(v) for v in range(n)]
+    nbrs_H = [H.neighbors(v) for v in range(n)]
+    colors_G = _refine(nbrs_G, colors[:n])
+    colors_H = _refine(nbrs_H, colors[n:])
+    if _class_sizes(colors_G) != _class_sizes(colors_H):
         return None
-
-    result: list[Optional[list[int]]] = [None]
-
-    def rec(colors: list[int]) -> None:
-        if result[0] is not None:
-            return
-        sizes = _class_sizes(colors)
-        cell = -1
-        cell_size = 2
-        for c, s in enumerate(sizes):
-            if s > cell_size:
-                cell = c
-                cell_size = s
-        if cell == -1:
-            mapping = [-1] * n
-            mate: dict[int, int] = {}
-            for v, c in enumerate(colors):
-                if c in mate:
-                    a, b = mate[c], v
-                    mapping[a] = b - n
-                else:
-                    mate[c] = v
-            if verify_isomorphism(G, H, mapping):
-                result[0] = mapping
-            return
-        members = [v for v in range(2 * n) if colors[v] == cell]
-        v = members[0]  # smallest G-side vertex: classes are balanced
-        h_side = [w for w in members if w >= n]
-        for w in h_side:
-            child = colors[:]
-            fresh = max(colors) + 1
-            child[v] = fresh
-            child[w] = fresh
-            child = _refine(nbrs, child)
-            if not _side_balanced(child, n):
-                continue
-            rec(child)
-            if result[0] is not None:
-                return
-
-    rec(colors0)
-    return result[0]
+    found = _search(G, H, nbrs_H, colors_H, _first_path(nbrs_G, colors_G), False)
+    return list(found[0]) if found else None

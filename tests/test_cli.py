@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -103,6 +104,42 @@ def test_halves_folded_isomorphic(tmp_path, capsys):
     path.write_text("n=8\nx=11111111 perm=id\n", encoding="utf-8")
     code, out, _ = run_cli(["halves", str(path)], capsys)
     assert code == 0 and "verdict=ISOMORPHIC" in out
+
+
+def test_halves_json_folded_8_pinned(tmp_path, capsys):
+    # the JSON prints the isomorphism witness; sha256 recorded before the
+    # isomorphism test moved onto the automorphism search
+    path = tmp_path / "folded.grp"
+    path.write_text("n=8\nx=11111111 perm=id\n", encoding="utf-8")
+    code, out, _ = run_cli(["halves", str(path), "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "ISOMORPHIC" and len(data["witness"]) == 64
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("753f79362517c173")
+
+
+def test_halves_json_quaternion_pinned(quaternion_file, capsys):
+    code, out, _ = run_cli(["halves", quaternion_file, "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "NOT_ISOMORPHIC" and data["witness"] is None
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("92b1ea28b2660f45")
+
+
+def test_halves_dot_needs_out(quaternion_file, capsys):
+    # DOT output is one file per half, so it cannot go to stdout
+    code, out, err = run_cli(["halves", quaternion_file, "--format", "dot"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:PRECONDITION_VIOLATED:") and err.count("\n") == 1
+
+
+def test_halves_dot_with_out_writes_both_halves(quaternion_file, tmp_path, capsys):
+    prefix = tmp_path / "halves"
+    args = ["halves", quaternion_file, "--format", "dot", "--out", str(prefix)]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and out == "verdict=NOT_ISOMORPHIC\n"
+    for idx in (0, 1):
+        assert Path(f"{prefix}.half{idx}.dot").read_text().startswith("graph G {")
 
 
 def test_halves_non_even_error(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,13 +14,22 @@ from cubequot import (
     build_quotient,
     halved_graphs,
     is_vertex_transitive,
+    parse_group_text,
     triangular_graph,
     verify_isomorphism,
 )
 from cubequot.errors import TooLarge
+from cubequot.graph_core import bits_of
+from cubequot.iso_aut import (
+    _canonical_colors,
+    _class_sizes,
+    _invariant_values,
+    _refine,
+    automorphism_generators,
+)
 from cubequot.perm_groups import group_from_generators
 
-from conftest import cube_graph, folded_cube_group
+from conftest import QUATERNION_FILE, cube_graph, folded_cube_group
 
 
 def complete_graph(n):
@@ -100,6 +111,142 @@ def test_size_cap():
         )
 
 
+def test_verify_isomorphism_rejects_bad_mappings():
+    g = cube_graph(3)
+    assert verify_isomorphism(g, g, list(range(8)))
+    # wrong length
+    assert not verify_isomorphism(g, g, list(range(7)))
+    assert not verify_isomorphism(g, g, list(range(9)))
+    # a repeated image: not a bijection
+    assert not verify_isomorphism(g, g, [0, 1, 2, 3, 4, 5, 6, 6])
+    # a bijection that sends the edge 0-1 to the non-edge 0-3
+    swap = [0, 3, 2, 1, 4, 5, 6, 7]
+    assert not g.has_edge(0, 3) and not verify_isomorphism(g, g, swap)
+    # graphs with different numbers of vertices
+    assert not verify_isomorphism(g, cube_graph(2), list(range(8)))
+    assert not verify_isomorphism(cube_graph(2), g, list(range(4)))
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the isomorphism witness
+# ---------------------------------------------------------------------------
+
+
+def _side_balanced(colors, n):
+    """Each color class must hold equally many vertices of either graph."""
+    balance = [0] * (max(colors) + 1)
+    for v, c in enumerate(colors):
+        balance[c] += 1 if v < n else -1
+    return not any(balance)
+
+
+def reference_are_isomorphic(G, H):
+    """The former search over the 2n-vertex disjoint union of G and H.
+
+    Both graphs are refined together and branch in step: the smallest
+    G-side vertex of the first largest class against each H-side vertex of
+    that class, pruning branches whose classes are not balanced.
+    """
+    if G.n != H.n or G.edge_count != H.edge_count:
+        return None
+    if sorted(G.degrees()) != sorted(H.degrees()):
+        return None
+    n = G.n
+    if n == 0:
+        return []
+    adj = list(G.adj) + [m << n for m in H.adj]
+    nbrs = [list(bits_of(m)) for m in adj]
+    inv = _invariant_values(G) + _invariant_values(H)
+    if sorted(inv[:n]) != sorted(inv[n:]):
+        return None
+    colors0 = _refine(nbrs, _canonical_colors(inv))
+    if not _side_balanced(colors0, n):
+        return None
+
+    def rec(colors):
+        sizes = _class_sizes(colors)
+        cell, cell_size = -1, 2
+        for c, s in enumerate(sizes):
+            if s > cell_size:
+                cell, cell_size = c, s
+        if cell == -1:
+            mapping = [-1] * n
+            mate = {}
+            for v, c in enumerate(colors):
+                if c in mate:
+                    mapping[mate[c]] = v - n
+                else:
+                    mate[c] = v
+            return mapping if verify_isomorphism(G, H, mapping) else None
+        members = [v for v in range(2 * n) if colors[v] == cell]
+        v = members[0]  # smallest G-side vertex: classes are balanced
+        for w in members:
+            if w < n:
+                continue
+            child = colors[:]
+            child[v] = child[w] = max(colors) + 1
+            child = _refine(nbrs, child)
+            if _side_balanced(child, n):
+                found = rec(child)
+                if found is not None:
+                    return found
+        return None
+
+    return rec(colors0)
+
+
+def _random_graph(n, p, rng):
+    return SimpleGraph.from_edges(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    )
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabeled(perm)
+
+
+def _to_networkx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def _witness_battery():
+    rng = random.Random(16)
+    pairs = [(rook_4x4(), shrikhande()), (shrikhande(), _relabel(shrikhande(), rng))]
+    for k in range(4, 8):
+        t = triangular_graph(k)
+        pairs.append((t, _relabel(t, rng)))
+    groups = [folded_cube_group(6), folded_cube_group(8), parse_group_text(QUATERNION_FILE)]
+    for K in groups:
+        h0, h1 = halved_graphs(build_quotient(K).graph)
+        pairs += [(h0, h1), (h0, _relabel(h1, rng))]
+    for i in range(160):
+        n = 5 + i % 9
+        g = _random_graph(n, 0.4, rng)
+        h = _relabel(g, rng) if rng.random() < 0.5 else _random_graph(n, 0.4, rng)
+        pairs.append((g, h))
+    return pairs
+
+
+def test_witnesses_equal_the_disjoint_union_search():
+    pairs = _witness_battery()
+    isomorphic = 0
+    for g, h in pairs:
+        w = are_isomorphic(g, h)
+        assert w == reference_are_isomorphic(g, h)
+        assert (w is not None) == nx.is_isomorphic(_to_networkx(g), _to_networkx(h))
+        if w is not None:
+            isomorphic += 1
+            assert verify_isomorphism(g, h, w)
+    # both verdicts occur, so neither side of the search goes untested
+    assert 0 < isomorphic < len(pairs)
+
+
+
 # ---------------------------------------------------------------------------
 # Automorphism groups: orders against independent knowledge
 # ---------------------------------------------------------------------------
@@ -141,6 +288,25 @@ def test_bsgs_order_matches_element_enumeration():
     assert len(elements) == group.order
     ident = tuple(range(group.degree))
     assert ident in elements
+
+
+def _generators_digest(g):
+    return hashlib.sha256(repr(automorphism_generators(g)).encode()).hexdigest()[:16]
+
+
+def test_automorphism_generators_pinned():
+    # sha256 prefixes of repr(automorphism_generators(G)), recorded before the
+    # isomorphism test moved onto the automorphism search; the generators
+    # (and so every order and orbit computed from them) must not change
+    pinned = {
+        "petersen": (petersen(), 3, "07049318f9ca5841"),
+        "T5": (triangular_graph(5), 4, "fb0fbe2179818fcc"),
+        "folded 6-cube": (build_quotient(folded_cube_group(6)).graph, 6, "87d67011e521c961"),
+        "rook 4x4": (rook_4x4(), 4, "0795311538f48725"),
+        "shrikhande": (shrikhande(), 4, "a3b2e22c4f6a8ad8"),
+    }
+    for name, (g, count, digest) in pinned.items():
+        assert (len(automorphism_generators(g)), _generators_digest(g)) == (count, digest), name
 
 
 def test_every_generator_is_an_automorphism():
