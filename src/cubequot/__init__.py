@@ -30,9 +30,11 @@ from .graph_core import (
     distance2_graph,
     halved_graphs,
     is_locally,
+    is_locally_triangular,
     is_rectagraph,
     local_params,
     triangular_graph,
+    triangular_labels,
 )
 from .iso_aut import (
     PermGroupOnGraph,

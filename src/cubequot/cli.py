@@ -90,7 +90,10 @@ def cmd_halves(args) -> int:
             Path(f"{args.out}.half{idx}.{suffix}").write_text(
                 render(h), encoding="utf-8"
             )
-        print(f"verdict={verdict}")
+        if args.format == "json":
+            _print_json({"verdict": verdict, "witness": witness})
+        else:
+            print(f"verdict={verdict}")
     elif args.format == "json":
         _print_json(
             {

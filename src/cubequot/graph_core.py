@@ -290,6 +290,66 @@ def triangular_graph(n: int) -> SimpleGraph:
     return SimpleGraph.from_edges(len(subsets), edges, labels)
 
 
+def _star_labels(adj: Sequence[int], M: int, m: int) -> Optional[list[tuple[int, int]]]:
+    """Labels of the vertices of mask M, ascending, as 2-subsets of {0..m-1}
+    that meet exactly when the vertices are adjacent in G[M]; None when G[M]
+    is not T_m. Needs m >= 5.
+
+    For a neighbour u of v in T_m, the common neighbours of v and u are the
+    m-3 other members of their star, pairwise adjacent, and one matched
+    vertex adjacent to none of them. So the lowest common neighbour w gives
+    the star: v, u, w and w's neighbours there if it has any, else v, u and
+    the other common neighbours. v's second star comes from its lowest
+    neighbour outside the first. Every step is exact on T_m, so None is
+    never a false negative; the checks make a list a proof for any G.
+    """
+    if M.bit_count() != m * (m - 1) // 2:
+        return None
+    stars: dict[int, int] = {}
+    labels = []
+    for v in bits_of(M):
+        row = adj[v] & M
+        if row.bit_count() != 2 * (m - 2):
+            return None
+        pair = []
+        rest = row
+        for _ in range(2):
+            u = (rest & -rest).bit_length() - 1
+            common = row & adj[u]
+            w = common & -common  # 0 if none: adj[-1] & 0 is 0, and the size check fails
+            inside = adj[w.bit_length() - 1] & common
+            star = 1 << v | 1 << u | (w | inside if inside else common ^ w)
+            if star.bit_count() != m - 1:
+                return None
+            pair.append(stars.setdefault(star, len(stars)))
+            rest &= ~star
+        # two stars of m-1 vertices each covering row + v meet only in v
+        if rest or len(stars) > m:
+            return None
+        labels.append((min(pair), max(pair)))
+    # C(m,2) distinct pairs over at most m stars are all the 2-subsets, so a
+    # star's number is on m-1 labels, and the star holds those m-1 vertices
+    # (each found it) and no other: each row plus v is the set of vertices
+    # whose labels meet v's
+    if len(set(labels)) != len(labels):
+        return None
+    return labels
+
+
+def triangular_labels(X: SimpleGraph, m: int) -> Optional[tuple[tuple[int, int], ...]]:
+    """An isomorphism onto T_m as one pair (i, j), 0 <= i < j < m, per vertex
+    of X, adjacent exactly when the pairs meet; None when X is not T_m.
+
+    Decided from star cliques (Whitney 1932; Roussopoulos 1973), which
+    identify T_m only for m >= 5: in T_4 a star pair and a matched pair
+    both have no common neighbour.
+    """
+    if m < 5:
+        raise PreconditionViolated(f"star cliques identify T_m only for m >= 5, got {m}")
+    labels = _star_labels(X.adj, (1 << X.n) - 1, m)
+    return None if labels is None else tuple(labels)
+
+
 def local_params(
     G: SimpleGraph, max_level: int, roots: Optional[Iterable[int]] = None
 ) -> list[LocalParams]:
@@ -427,7 +487,11 @@ def bipartite_double(G: SimpleGraph) -> SimpleGraph:
 
 
 def is_locally(G: SimpleGraph, target: SimpleGraph) -> bool:
-    """True iff every vertex neighborhood induces a graph isomorphic to target."""
+    """True iff every vertex neighborhood induces a graph isomorphic to target.
+
+    One isomorphism search per vertex; for target T_n use
+    `is_locally_triangular`, which needs none when n >= 5.
+    """
     from .iso_aut import are_isomorphic  # deferred: iso_aut builds on this module
 
     for v in range(G.n):
@@ -437,3 +501,16 @@ def is_locally(G: SimpleGraph, target: SimpleGraph) -> bool:
         if are_isomorphic(nbhd, target) is None:
             return False
     return True
+
+
+def is_locally_triangular(G: SimpleGraph, n: int) -> bool:
+    """`is_locally(G, triangular_graph(n))`, decided from the star cliques of
+    each neighbourhood (see `triangular_labels`) without building it.
+
+    For n <= 4 stars are not told apart from matched pairs, so the check
+    falls back to `is_locally`; n < 2 raises BadDimension.
+    """
+    if n <= 4:
+        return is_locally(G, triangular_graph(n))
+    adj = G.adj
+    return all(_star_labels(adj, adj[v], n) is not None for v in range(G.n))

@@ -53,9 +53,8 @@ from .graph_core import (
     bipartite_parts,
     distance2_graph,
     halved_graphs,
-    is_locally,
+    is_locally_triangular,
     is_rectagraph,
-    triangular_graph,
 )
 from .iso_aut import (
     are_isomorphic,
@@ -444,13 +443,12 @@ def check_main_even(K: CubeGroup) -> ClaimReport:
     if not (is_even(K) and d >= 7 and K.n >= 2):
         raise PreconditionViolated("check_main_even needs an even group with d_K >= 7")
     Q = build_quotient(K)
-    target = triangular_graph(Q.n)
     halves = halved_graphs(Q.graph)
     ok = True
     witnesses = {}
     for idx, h in enumerate(halves):
         connected = h.is_connected()
-        locally = is_locally(h, target)
+        locally = is_locally_triangular(h, Q.n)
         witnesses[f"half{idx}"] = {
             "vertices": h.n,
             "connected": connected,
@@ -1078,16 +1076,12 @@ def _lem_loc_tn(seed: int) -> ClaimReport:
         d = min_distance(K)
         if d < 7:
             raise PreconditionViolated(f"lem-loc-tn case {describe_group(K)} has d_K={d} < 7")
-        Q = build_quotient(K)
-        target = triangular_graph(K.n)
-        pi2 = distance2_graph(Q.graph)
-        comps = pi2.connected_components()
-        all_local = all(
-            is_locally(pi2.induced(comp), target) for comp in comps
-        )
+        pi2 = distance2_graph(build_quotient(K).graph)
+        # each neighbourhood lies inside its own component
+        all_local = is_locally_triangular(pi2, K.n)
         witnesses[describe_group(K)] = {
             "d_K": d,
-            "components": len(comps),
+            "components": len(pi2.connected_components()),
             "all_locally_triangular": all_local,
         }
         if not all_local:
@@ -1334,7 +1328,7 @@ def _small_n_halved(seed: int) -> ClaimReport:
     for n in (2, 3, 4):
         h0, h1 = halved_graphs(cube_graph(n))
         aut = automorphism_group(h0).order
-        local = is_locally(h0, triangular_graph(n)) if n >= 2 else True
+        local = is_locally_triangular(h0, n)
         witnesses[f"halved Q_{n}"] = {
             "vertices": h0.n,
             "aut_order": aut,

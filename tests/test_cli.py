@@ -99,6 +99,16 @@ def test_halves_quaternion_verdict(quaternion_file, tmp_path, capsys):
         assert data["n_vertices"] == 16
 
 
+def test_halves_json_with_out_prints_verdict_and_witness(quaternion_file, tmp_path, capsys):
+    prefix = tmp_path / "halves"
+    args = ["halves", quaternion_file, "--format", "json", "--out", str(prefix)]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert json.loads(out) == {"verdict": "NOT_ISOMORPHIC", "witness": None}
+    for idx in (0, 1):
+        assert json.loads(Path(f"{prefix}.half{idx}.json").read_text())["n_vertices"] == 16
+
+
 def test_halves_folded_isomorphic(tmp_path, capsys):
     path = tmp_path / "folded.grp"
     path.write_text("n=8\nx=11111111 perm=id\n", encoding="utf-8")
@@ -189,6 +199,19 @@ def test_aut_folded6(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["aut_order"] == 23040 and data["vertex_transitive"] is True
+
+
+@pytest.mark.parametrize(
+    "claim, digest",
+    [("thm-main-even", "89c665a7d6a59d05"), ("lem-loc-tn", "d43c450134437654")],
+)
+def test_verify_locally_triangular_claims_pinned(claim, digest, capsys):
+    # sha256 recorded while these claims ran one isomorphism search per
+    # neighbourhood, before the star-clique test
+    args = ["verify", "--claims", claim, "--seed", "0", "--format", "json"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
 
 def test_verify_single_claim(capsys):

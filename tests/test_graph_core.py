@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,19 +11,24 @@ from cubequot import (
     UNDEFINED,
     VACUOUS,
     SimpleGraph,
+    are_isomorphic,
     bipartite_double,
     bipartite_parts,
     build_quotient,
     distance2_graph,
     halved_graphs,
+    is_even,
     is_locally,
+    is_locally_triangular,
     is_rectagraph,
     local_params,
     triangular_graph,
+    triangular_labels,
 )
-from cubequot.errors import BadDimension, NotBipartite, NotConnected
+from cubequot.errors import BadDimension, NotBipartite, NotConnected, PreconditionViolated
+from cubequot.verify import class_dist_grid
 
-from conftest import cube_graph
+from conftest import cube_graph, folded_cube_group
 
 
 def complete_graph(n):
@@ -313,3 +320,129 @@ def test_is_locally_invariant_under_relabeling(seed):
     perm = list(range(h0.n))
     rng.shuffle(perm)
     assert is_locally(h0.relabeled(perm), triangular_graph(4))
+
+
+# ---------------------------------------------------------------------------
+# Locally triangular from star cliques, against isomorphism oracles
+# ---------------------------------------------------------------------------
+
+
+def seidel_switch(G, switch):
+    """Toggle every adjacency between the vertex set `switch` and the rest."""
+    inside = sum(1 << v for v in switch)
+    outside = (1 << G.n) - 1 - inside
+    adj = [row ^ (outside if (inside >> v) & 1 else inside) for v, row in enumerate(G.adj)]
+    return SimpleGraph(G.n, adj)
+
+
+def chang_graphs():
+    """Seidel switches of T_8 on the edge sets 4K_2, C_3 + C_5 and C_8 of K_8."""
+    t8 = triangular_graph(8)
+    index = {tuple(int(x) for x in lbl.split(",")): v for v, lbl in enumerate(t8.labels)}
+
+    def cycle(*pts):
+        return [tuple(sorted(e)) for e in zip(pts, pts[1:] + pts[:1])]
+
+    switch_sets = [
+        [(1, 2), (3, 4), (5, 6), (7, 8)],
+        cycle(1, 2, 3) + cycle(4, 5, 6, 7, 8),
+        cycle(1, 2, 3, 4, 5, 6, 7, 8),
+    ]
+    return [seidel_switch(t8, [index[e] for e in edges]) for edges in switch_sets]
+
+
+def is_line_graph_of_complete(G, m):
+    """networkx oracle: the root graph of G (Whitney) is K_m."""
+    X = nx.Graph(G.edges())
+    X.add_nodes_from(range(G.n))
+    try:
+        root = nx.inverse_line_graph(X)
+    except nx.NetworkXError:
+        return False
+    return root.number_of_nodes() == m and root.number_of_edges() == m * (m - 1) // 2
+
+
+@st.composite
+def relabelled_t_m_cases(draw):
+    m = draw(st.integers(5, 10))
+    return m, draw(st.permutations(range(m * (m - 1) // 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_t_m_cases())
+def test_triangular_labels_of_relabelled_t_m_are_an_isomorphism(case):
+    m, perm = case
+    X = triangular_graph(m).relabeled(perm)
+    labels = triangular_labels(X, m)
+    assert labels is not None
+    assert sorted(labels) == list(itertools.combinations(range(m), 2))
+    for u, w in itertools.combinations(range(X.n), 2):
+        assert X.has_edge(u, w) == bool(set(labels[u]) & set(labels[w]))
+
+
+def test_triangular_labels_of_canonical_t_m_follow_its_labels():
+    t6 = triangular_graph(6)
+    expected = tuple(tuple(int(x) - 1 for x in lbl.split(",")) for lbl in t6.labels)
+    assert triangular_labels(t6, 6) == expected
+
+
+@pytest.mark.parametrize("m", range(5, 10))
+def test_triangular_labels_agree_with_inverse_line_graph_on_swaps(m):
+    base = nx.Graph(triangular_graph(m).edges())
+    for seed in range(6):
+        swapped = base.copy()
+        nx.double_edge_swap(swapped, nswap=1 + seed % 3, max_tries=1000, seed=seed)
+        X = SimpleGraph.from_edges(base.number_of_nodes(), swapped.edges())
+        assert (triangular_labels(X, m) is not None) == is_line_graph_of_complete(X, m)
+    assert is_line_graph_of_complete(triangular_graph(m), m)
+
+
+def test_chang_graphs_are_rejected():
+    t8 = triangular_graph(8)
+    for X in chang_graphs():
+        # same parameters as T_8: SRG(28, 12, 6, 4)
+        params = local_params(X, 2)
+        assert X.degrees() == [12] * 28
+        assert (params[1].a_value, params[2].c_value) == (6, 4)
+        assert triangular_labels(X, 8) is None
+        assert are_isomorphic(X, t8) is None
+
+
+def test_triangular_labels_needs_m_at_least_5():
+    with pytest.raises(PreconditionViolated):
+        triangular_labels(triangular_graph(4), 4)
+
+
+def test_locally_triangular_agrees_with_is_locally_on_even_grid_halves():
+    # every even group of the thm-class-dist grid at seed 0 with n >= 5:
+    # 268 groups, 536 halves, d_K <= 6, so all are negative controls
+    groups = [K for K in class_dist_grid(0) if is_even(K) and K.n >= 5]
+    halves = 0
+    for K in groups:
+        for h in halved_graphs(build_quotient(K).graph):
+            assert is_locally_triangular(h, K.n) == is_locally(h, triangular_graph(K.n))
+            halves += 1
+    assert halves == 536
+
+
+@pytest.mark.parametrize(
+    "n, folded, expected",
+    [(6, True, False), (8, True, True), (5, False, True)],  # folded: d_K = n
+)
+def test_locally_triangular_agrees_with_is_locally_on_halves(n, folded, expected):
+    graph = build_quotient(folded_cube_group(n)).graph if folded else cube_graph(n)
+    for h in halved_graphs(graph):
+        assert is_locally_triangular(h, n) is expected
+        assert is_locally(h, triangular_graph(n)) is expected
+
+
+def test_locally_triangular_small_n_and_degree_mismatch():
+    h3, _ = halved_graphs(cube_graph(3))
+    h4, _ = halved_graphs(cube_graph(4))
+    h6, _ = halved_graphs(cube_graph(6))
+    assert is_locally_triangular(h3, 3) and is_locally_triangular(h4, 4)
+    assert not is_locally_triangular(h6, 5)  # valency 15, T_5 has 10 vertices
+    assert not is_locally_triangular(h4, 5)
+    for n in (0, 1):
+        with pytest.raises(BadDimension):
+            is_locally_triangular(h4, n)
