@@ -19,7 +19,6 @@ from .cube_symmetry import (
     DEFAULT_GROUP_CAP,
     INFINITY,
     is_even,
-    is_semiregular,
     min_distance,
     parse_group_file,
 )
@@ -44,11 +43,12 @@ def _load_group(args):
 
 def cmd_mindist(args) -> int:
     K = _load_group(args)
+    d = min_distance(K)
     data = {
-        "d_K": _fmt_distance(min_distance(K)),
+        "d_K": _fmt_distance(d),
         "order": K.order,
         "even": is_even(K),
-        "semiregular": is_semiregular(K),
+        "semiregular": d >= 1,
     }
     if args.format == "json":
         _print_json(data)

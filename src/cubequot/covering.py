@@ -20,7 +20,6 @@ from .cube_symmetry import (
     CubeGroup,
     Permutation,
     _GroupBuilder,
-    generate_group,
 )
 from .errors import (
     InconsistentLift,
@@ -192,7 +191,7 @@ def deck_group(c: CoveringMap) -> CubeGroup:
                     f"candidate at y={y:#x} moves vertex {v:#x} across fibers"
                 )
         members.append(g)
-    group = generate_group(_GroupBuilder(n, members).gens, cap=len(members) + 1, n=n)
-    if group.order != len(members):
+    builder = _GroupBuilder(n, members)
+    if builder.order() != len(members):
         raise ReconstructionFailed("reconstructed candidates do not close into a group")
-    return group
+    return CubeGroup(n, builder.gens, len(members))

@@ -392,30 +392,31 @@ class CubeAutomorphism:
 
 
 class CubeGroup:
-    """A finite subgroup of Aut(Q_n).
+    """A finite subgroup of Aut(Q_n): its generators and its order.
 
-    Groups built by `generate_group` carry their full element list in
-    breadth-first order from the identity. Groups returned by `normalizer`
-    may carry elements=None when the order exceeds the cap; the exact order
-    is always present.
+    `elements` lists the group breadth-first from the identity, in the order
+    of `generate_group(generators)`. `generate_group` fills it during its own
+    closure; any other group closes it from its generators on first use. A
+    group whose order exceeds its cap raises GroupTooLarge there, before any
+    closure starts.
     """
 
-    __slots__ = ("n", "generators", "elements", "order", "_element_keys")
+    __slots__ = ("n", "generators", "order", "cap", "_element_list", "_element_keys")
 
     def __init__(
         self,
         n: int,
         generators: Sequence[CubeAutomorphism],
-        elements: Optional[Sequence[CubeAutomorphism]],
         order: int,
+        cap: int = DEFAULT_GROUP_CAP,
+        elements: Optional[tuple[CubeAutomorphism, ...]] = None,
     ):
         _check_dimension(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(
-            self, "elements", tuple(elements) if elements is not None else None
-        )
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "_element_list", elements)
         object.__setattr__(self, "_element_keys", None)
 
     def __setattr__(self, *_):
@@ -423,17 +424,29 @@ class CubeGroup:
 
     @classmethod
     def trivial(cls, n: int) -> "CubeGroup":
-        return cls(n, (), (CubeAutomorphism.identity(n),), 1)
+        return cls(n, (), 1, elements=(CubeAutomorphism.identity(n),))
 
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
 
+    @property
+    def elements(self) -> tuple[CubeAutomorphism, ...]:
+        if self._element_list is None:
+            if self.order > self.cap:
+                raise GroupTooLarge(f"element list of order {self.order} exceeds cap {self.cap}")
+            try:
+                closed = generate_group(self.generators, cap=self.order, n=self.n).elements
+            except GroupTooLarge as exc:
+                raise InvariantViolated(f"generators close beyond the order {self.order}") from exc
+            if len(closed) != self.order:
+                raise InvariantViolated(f"{len(closed)} elements close, the order is {self.order}")
+            object.__setattr__(self, "_element_list", closed)
+        return self._element_list
+
     def _keys(self) -> frozenset:
-        keys = object.__getattribute__(self, "_element_keys")
+        keys = self._element_keys
         if keys is None:
-            if self.elements is None:
-                raise Unsupported("element list not materialized for this group")
             keys = frozenset(g.key() for g in self.elements)
             object.__setattr__(self, "_element_keys", keys)
         return keys
@@ -442,8 +455,6 @@ class CubeGroup:
         return g.key() in self._keys()
 
     def __iter__(self) -> Iterator[CubeAutomorphism]:
-        if self.elements is None:
-            raise Unsupported("element list not materialized for this group")
         return iter(self.elements)
 
     def __len__(self) -> int:
@@ -510,9 +521,9 @@ def generate_group(
     # drop the search state before the views exist, and the keys after
     del seen, steps
     view = CubeAutomorphism._from_key
-    elements = [view(dim, y, images) for y, images in keys]
+    elements = tuple([view(dim, y, images) for y, images in keys])
     del keys
-    return CubeGroup(dim, gens, elements, len(elements))
+    return CubeGroup(dim, gens, len(elements), cap, elements)
 
 
 def act(g: CubeAutomorphism, v: BitVector) -> BitVector:
@@ -565,35 +576,16 @@ def is_semiregular(K: CubeGroup) -> bool:
 
 
 def conjugate_group(K: CubeGroup, g: CubeAutomorphism) -> CubeGroup:
-    """The conjugate g^-1 K g."""
+    """The conjugate g^-1 K g, generated by the conjugates of K's generators."""
     if K.n != g.n:
         raise DimensionMismatch("group and conjugating element dimensions differ")
-    conj_gens = tuple(k.conjugated_by(g) for k in K.generators)
-    if K.elements is None:
-        return CubeGroup(K.n, conj_gens, None, K.order)
-    if K.is_trivial:
-        return CubeGroup.trivial(K.n)
-    result = generate_group(conj_gens, cap=K.order + 1)
-    if result.order != K.order:
-        raise InvariantViolated(f"conjugate has order {result.order}, K has {K.order}")
-    return result
+    return CubeGroup(K.n, [k.conjugated_by(g) for k in K.generators], K.order, K.cap)
 
 
 def intersect_even(K: CubeGroup) -> CubeGroup:
     """The subgroup of even elements, K intersected with E_n : S_n."""
-    if K.elements is None:
-        raise Unsupported("intersect_even needs a materialized element list")
-    even_elems = [g for g in K if g.is_even()]
-    if len(even_elems) == 1:
-        return CubeGroup.trivial(K.n)
-    if len(even_elems) == K.order:
-        return K
-    result = generate_group(_GroupBuilder(K.n, even_elems).gens, cap=K.order + 1)
-    if result.order != len(even_elems):
-        raise InvariantViolated(
-            f"even part generates order {result.order}, expected {len(even_elems)}"
-        )
-    return result
+    gens, order = _even_part(K.n, K.generators, K.order)
+    return K if order == K.order else CubeGroup(K.n, gens, order, K.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -668,17 +660,6 @@ class _GroupBuilder:
         return self.group.order()
 
 
-def _normalizer_trivial(n: int, even: bool, cap: int) -> CubeGroup:
-    gens = standard_generators(n, even=even)
-    if not gens:
-        return CubeGroup.trivial(n)
-    order = ambient_order(n, even=even)
-    elements = None
-    if order <= cap:
-        elements = generate_group(gens, cap=order + 1).elements
-    return CubeGroup(n, gens, elements, order)
-
-
 # Translations over F_2. A vector is an int; a subspace is held as an echelon
 # basis, a dict from leading bit to vector.
 
@@ -701,8 +682,6 @@ def _add_to_span(v: int, pivots: dict[int, int]) -> bool:
 
 def _translation_pivots(K: CubeGroup) -> dict[int, int]:
     """An echelon basis of T, the subspace of translations in K."""
-    if K.elements is None:
-        raise Unsupported("the translation subgroup needs the group element list")
     pivots: dict[int, int] = {}
     for g in K.elements:
         if g.perm.is_identity():
@@ -762,7 +741,7 @@ class _LiftSolver:
         self.fibres: dict[tuple[int, ...], int] = {}
         for g in L:
             self.fibres.setdefault(g.perm.images, g.translation.bits)
-        self.gens = [(g.translation.bits, g.perm.images) for g in K.generators]
+        self.gens = [g.key() for g in K.generators]
         # echelon rows per tuple of conjugated coordinate parts (s'_j)
         self._systems: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
 
@@ -883,21 +862,30 @@ def _admissible_coordinate_parts(K: CubeGroup, L: CubeGroup) -> Iterator[Permuta
     return search(0, [parts] * len(perm_gens), [translations] * len(trans_gens))
 
 
-def _even_subgroup(
-    n: int, gens: Sequence[CubeAutomorphism], t: CubeAutomorphism
-) -> _GroupBuilder:
-    """The even elements of <gens>, for an odd element t of <gens>.
+def _even_part(
+    n: int, gens: Sequence[CubeAutomorphism], order: int
+) -> tuple[tuple[CubeAutomorphism, ...], int]:
+    """Generators and order of the even elements of <gens>, a group of the given order.
 
     Translation parity is a homomorphism onto Z_2, so the even elements form
-    a subgroup of index 2 with coset representatives 1 and t. Its Schreier
-    generators are s and t s t^-1 for even s, and s t^-1 and t s for odd s.
+    a subgroup of index at most 2: all of <gens> when every generator is even,
+    else index 2 with coset representatives 1 and an odd generator t. Its
+    Schreier generators are s and t s t^-1 for even s, and s t^-1 and t s for
+    odd s (Seress, Permutation Group Algorithms, 2003, 4.1). Checks
+    2 |even part| = order and raises InvariantViolated otherwise.
     """
+    t = next((g for g in gens if not g.is_even()), None)
+    if t is None:
+        return tuple(gens), order
     t_inv = t.inverse()
     # the s and s t^-1 go in first: in that order the even normalizers of
     # perfbench's symmetry groups (n = 8, 10) built about 30% faster
     firsts = [s if s.is_even() else s.compose(t_inv) for s in gens]
     seconds = [t.compose(s).compose(t_inv) if s.is_even() else t.compose(s) for s in gens]
-    return _GroupBuilder(n, firsts + seconds)
+    builder = _GroupBuilder(n, firsts + seconds)
+    if 2 * builder.order() != order:
+        raise InvariantViolated(f"even part has order {builder.order()}, the group {order}")
+    return tuple(builder.gens), builder.order()
 
 
 def normalizer(K: CubeGroup, ambient: str = "full", cap: int = DEFAULT_GROUP_CAP) -> CubeGroup:
@@ -918,19 +906,20 @@ def normalizer(K: CubeGroup, ambient: str = "full", cap: int = DEFAULT_GROUP_CAP
 
     The trivial group has the ambient group's standard generators. Lifts
     solve one F_2 system per tau (`_LiftSolver`). The even ambient is the
-    kernel of translation parity on N, one index-2 step from N's generators.
-    Each route checks the order of the Schreier-Sims chain against its count
-    and raises InvariantViolated on a mismatch. The element list is
-    materialized only when the order fits the cap.
+    kernel of translation parity on N, one index-2 step from N's generators
+    (`_even_part`). Each route checks the order of the Schreier-Sims chain
+    against its count and raises InvariantViolated on a mismatch. The result
+    is generators and order; `cap` bounds its element list, which is closed
+    on first use.
     """
     if ambient not in ("full", "even"):
         raise ValueError(f"ambient must be 'full' or 'even', got {ambient!r}")
     even = ambient == "even"
     n = K.n
     if K.is_trivial:
-        return _normalizer_trivial(n, even, cap)
+        return CubeGroup(n, standard_generators(n, even), ambient_order(n, even), cap)
     if K.order == 2:
-        k0 = next(g for g in K if not g.is_identity())
+        k0 = next(g for g in K.generators if not g.is_identity())
         taus, expected = _involution_coordinate_generators(n, k0.translation.bits, k0.perm)
     elif (1 << n) * math.factorial(n) <= _COSET_SEARCH_CAP:
         taus, expected = _admissible_coordinate_parts(K, K), None
@@ -955,23 +944,12 @@ def normalizer(K: CubeGroup, ambient: str = "full", cap: int = DEFAULT_GROUP_CAP
         builder.add(CubeAutomorphism.translation_by(BitVector(n, y)))
     if expected is None:
         expected = (1 << len(y0_basis)) * lifts
-    order = builder.order()
+    gens, order = tuple(builder.gens), builder.order()
     if order != expected:
         raise InvariantViolated(f"normalizer order {order}, the count gives {expected}")
-    odd = next((g for g in builder.gens if not g.is_even()), None)
-    if even and odd is not None:
-        builder = _even_subgroup(n, builder.gens, odd)
-        if 2 * builder.order() != order:
-            raise InvariantViolated(f"even normalizer order {builder.order()}, full order {order}")
-        order = builder.order()
-    gens = tuple(builder.gens)
-    elements = None
-    if order <= cap:
-        group = generate_group(gens, cap=order + 1, n=n) if gens else CubeGroup.trivial(n)
-        if group.order != order:
-            raise InvariantViolated(f"normalizer closure has order {group.order}, expected {order}")
-        elements = group.elements
-    return CubeGroup(n, gens, elements, order)
+    if even:
+        gens, order = _even_part(n, gens, order)
+    return CubeGroup(n, gens, order, cap)
 
 
 def conjugating_element(K: CubeGroup, L: CubeGroup) -> Optional[CubeAutomorphism]:

@@ -3,9 +3,9 @@
 Vertices of Q_n are the integers 0..2^n-1. The representative of an orbit
 is its numerically smallest vertex. It is found for every vertex at once
 from K's generators alone: `perm_groups.orbit_minima` runs on the image
-tables v -> g(v) of the generators, so building a quotient never needs
-K's element list (`translation_roots` still does, for the translations in
-K). Orbit ids are sorted by representative, and vertex labels of the
+tables v -> g(v) of the generators, so building a quotient never closes
+K's element list (`translation_roots` does, on first use, for the
+translations in K). Orbit ids are sorted by representative, and vertex labels of the
 quotient graph are the representative bit strings (coordinate 1 leftmost).
 Distinct orbits are adjacent whenever some member of one is cube-adjacent
 to a member of the other; loops are discarded. K acts by cube
@@ -72,7 +72,7 @@ class QuotientGraph:
 def image_tables(elements: Sequence[tuple[int, Sequence[int]]]):
     """Numpy array whose row k is the table v -> g_k(v), for 0 <= v < 2^n.
 
-    Element g_k is given as its pair (translation bits y, images): g_k(v) is
+    Element g_k is given as its key (translation bits y, images): g_k(v) is
     y xor v with bit j moved to bit images[j].
     """
     # numpy is imported on first use: importing it here at module level, ahead
@@ -97,7 +97,7 @@ def build_quotient(K: CubeGroup) -> QuotientGraph:
         raise DimensionTooLarge(
             f"quotient construction enumerates 2^n vertices; n={n} exceeds {MAX_QUOTIENT_DIMENSION}"
         )
-    gens = [(g.translation.bits, g.perm.images) for g in K.generators]
+    gens = [g.key() for g in K.generators]
     vertices = np.arange(1 << n, dtype=np.int64)
     rep = orbit_minima(image_tables(gens)) if gens else vertices
     is_rep = rep == vertices

@@ -261,7 +261,7 @@ def brute_force_min_distance(K: CubeGroup):
     """Independent route to d_K: scans all 2^n vertices per element."""
     if K.is_trivial:
         return INFINITY
-    moved = image_tables([(g.translation.bits, g.perm.images) for g in K.non_identity()])
+    moved = image_tables([g.key() for g in K.non_identity()])
     return int(np.bitwise_count(moved ^ np.arange(1 << K.n)).min())
 
 
@@ -471,9 +471,7 @@ def check_even_lemma(K: CubeGroup) -> ClaimReport:
     if is_even(K):
         try:
             parts = bipartite_parts(Q.graph)
-            expected0 = tuple(
-                i for i, rep in enumerate(Q.reps) if bin(rep).count("1") % 2 == 0
-            )
+            expected0 = tuple(i for i, rep in enumerate(Q.reps) if rep.bit_count() % 2 == 0)
             ok = parts[0] == expected0
             witnesses["bipartite"] = True
             witnesses["parts_match_weight_parity"] = ok
@@ -526,7 +524,7 @@ def check_halved_iso(K: CubeGroup) -> ClaimReport:
     witnesses: dict = {"halves_isomorphic": actually_iso, "d_K": d}
     ok = True
     try:
-        N = normalizer(K, "full", cap=1)
+        N = normalizer(K, "full")
         n_non_even = not is_even(N)
         witnesses["normalizer_non_even"] = n_non_even
         if n_non_even:
@@ -587,12 +585,12 @@ def _lem_trick(seed: int) -> ClaimReport:
         for members in orbits.values():
             for a, b in itertools.combinations(members, 2):
                 checked += 1
-                if bin(a ^ b).count("1") < d:
+                if (a ^ b).bit_count() < d:
                     return _report(
                         "lem-trick",
                         False,
                         {"group": describe_group(K)},
-                        {"x": a, "y": b, "distance": bin(a ^ b).count("1"), "d_K": d},
+                        {"x": a, "y": b, "distance": (a ^ b).bit_count(), "d_K": d},
                     )
     return _report("lem-trick", True, {"groups": len(groups)}, {"checked_pairs": checked})
 
@@ -608,7 +606,7 @@ def _lem_cycle(seed: int) -> ClaimReport:
         Q = build_quotient(K)
         # witness: project a geodesic from x to x^k for a distance-realizing pair
         g = next(g for g in K.non_identity() if element_min_distance(g) == d)
-        table = image_tables([(g.translation.bits, g.perm.images)])[0]
+        table = image_tables([g.key()])[0]
         x = int(np.argmax(np.bitwise_count(np.arange(1 << K.n) ^ table) == d))
         y = int(table[x])
         walk = [x]
@@ -831,7 +829,7 @@ def _prop_conjugate(seed: int) -> ClaimReport:
             L = conjugate_group(K, g)
             QK = build_quotient(K)
             QL = build_quotient(L)
-            table = image_tables([(g.translation.bits, g.perm.images)])[0]
+            table = image_tables([g.key()])[0]
             mapping = _orbit_map(QK, np.array(QL.orbit_index)[table])
             consistent = mapping is not None
             ok = consistent and verify_isomorphism(QK.graph, QL.graph, mapping)
@@ -923,7 +921,7 @@ def _thm_conjugate_simple(seed: int) -> ClaimReport:
     # |Aut| = |N|/|K| on the folded 6-cube, both sides computed independently
     Kf = generate_group([CubeAutomorphism.translation_by(BitVector.all_ones(6))])
     graph_side = automorphism_group(build_quotient(Kf).graph).order
-    group_side = normalizer(Kf, "full", cap=1).order // Kf.order
+    group_side = normalizer(Kf, "full").order // Kf.order
     ok = graph_side == group_side == 23040
     return _report(
         "thm-conjugate-simple",
@@ -1120,14 +1118,14 @@ def _thm_main_aut(seed: int) -> ClaimReport:
     # trivial group at n = 5: halved 5-cube
     h0, _ = halved_graphs(cube_graph(5))
     graph_side = automorphism_group(h0).order
-    group_side = normalizer(CubeGroup.trivial(5), "even", cap=1).order
+    group_side = normalizer(CubeGroup.trivial(5), "even").order
     witnesses["halved Q_5"] = {"graph_aut": graph_side, "even_normalizer_quotient": group_side}
     ok = graph_side == group_side == (1 << 4) * math.factorial(5)
     # folded 8-cube
     K = generate_group([CubeAutomorphism.translation_by(BitVector.all_ones(8))])
     h0, _ = halved_graphs(build_quotient(K).graph)
     graph_side = automorphism_group(h0).order
-    group_side = normalizer(K, "even", cap=1).order // K.order
+    group_side = normalizer(K, "even").order // K.order
     witnesses["halved folded 8-cube"] = {
         "graph_aut": graph_side,
         "even_normalizer_quotient": group_side,
@@ -1164,7 +1162,7 @@ def _ex_large(seed: int) -> ClaimReport:
         # two distinct heavy translations combine to a light one, so the
         # only groups at d_K >= n-1 are {0, x}
         pair_ok = all(
-            bin(a ^ b).count("1") < n - 1
+            (a ^ b).bit_count() < n - 1
             for a, b in itertools.combinations(sorted(expected), 2)
         )
         witnesses[f"n={n}"] = {
@@ -1226,11 +1224,11 @@ def _ex_not_vt(seed: int) -> ClaimReport:
     Q = build_quotient(K)
     aut = automorphism_group(Q.graph)
     orbits = aut.vertex_orbits()
-    N = normalizer(K, "full", cap=1)
+    N = normalizer(K, "full")
     group_side = N.order // K.order
     # group-side witness: e_1^K is not in the normalizer orbit of 0^K; N
     # contains K, so its orbits on the cube are unions of K-orbits
-    orbit = orbit_minima(image_tables([(g.translation.bits, g.perm.images) for g in N.generators]))
+    orbit = orbit_minima(image_tables([g.key() for g in N.generators]))
     e1_reached = bool(orbit[1] == orbit[0])
     ok = (
         d == n - 2
@@ -1264,7 +1262,7 @@ def _ex_lt_not_vt(seed: int) -> ClaimReport:
     h0, _ = halved_graphs(Q.graph)
     aut = automorphism_group(h0)
     orbits = aut.vertex_orbits()
-    group_side = normalizer(K, "even", cap=1).order // K.order
+    group_side = normalizer(K, "even").order // K.order
     ok = (
         is_even(K)
         and d == 8

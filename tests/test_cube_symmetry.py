@@ -24,9 +24,12 @@ from cubequot import (
     normalizer,
     parse_group_text,
 )
+from cubequot import cube_symmetry
 from cubequot.covering import deck_group, lift_covering
 from cubequot.cube_symmetry import (
+    DEFAULT_GROUP_CAP,
     _cycle_data,
+    _even_part,
     _monomial_perm,
     conjugating_element,
     standard_generators,
@@ -35,6 +38,7 @@ from cubequot.errors import (
     DimensionMismatch,
     GroupTooLarge,
     IdentityElement,
+    InvariantViolated,
     ParseError,
     Unsupported,
 )
@@ -505,13 +509,12 @@ def greedy_oracle_groups():
 
 
 @pytest.mark.parametrize("K", greedy_oracle_groups(), ids=repr)
-def test_intersect_even_generators_match_reclosing_greedy(K):
+def test_intersect_even_elements_are_the_even_filter(K):
     L = intersect_even(K)
-    even = [g for g in K if g.is_even()]
-    if len(even) in (1, K.order):
-        return  # the trivial group, or K itself
-    assert L.generators == reclosing_generators(K.n, even)
+    even = {g.key() for g in K if g.is_even()}
     assert L.order == len(even)
+    assert {g.key() for g in L} == even
+    assert all(g.is_even() for g in L.generators)
 
 
 def heavy_group(n, rng):
@@ -577,13 +580,22 @@ def test_deck_group_generators_match_reclosing_greedy(G):
 # ---------------------------------------------------------------------------
 
 
+def closes_like_generate_group(N):
+    """The lazy element list of N is generate_group's closure, key for key."""
+    return [g.key() for g in N.elements] == [
+        g.key() for g in generate_group(N.generators, n=N.n).elements
+    ]
+
+
 def test_normalizer_of_trivial_group_is_ambient():
     N = normalizer(CubeGroup.trivial(4), "full")
     assert N.order == (1 << 4) * math.factorial(4)
-    assert N.elements is not None and len(N.elements) == N.order
+    assert len(N.elements) == N.order
+    assert closes_like_generate_group(N)
     Ne = normalizer(CubeGroup.trivial(4), "even")
     assert Ne.order == (1 << 3) * math.factorial(4)
     assert all(g.is_even() for g in Ne)
+    assert closes_like_generate_group(Ne)
 
 
 def test_normalizer_central_all_ones(folded8):
@@ -669,7 +681,39 @@ def test_normalizer_order2_works_above_brute_bound():
     )
     N = normalizer(K, "full", cap=1)
     assert N.order == (1 << 12) * math.factorial(12)
-    assert N.elements is None  # order above the cap, list not materialized
+    with pytest.raises(GroupTooLarge):
+        N.elements  # order above the cap
+
+
+def test_element_list_above_cap_raises_before_any_closure(monkeypatch):
+    K = generate_group([CubeAutomorphism.translation_by(BitVector.all_ones(12))])
+    N = normalizer(K, "full")
+    assert N.order > DEFAULT_GROUP_CAP == N.cap
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("generate_group called")
+
+    monkeypatch.setattr(cube_symmetry, "generate_group", no_closure)
+    with pytest.raises(GroupTooLarge):
+        N.elements
+    with pytest.raises(GroupTooLarge):
+        list(N)
+
+
+def test_element_list_that_disagrees_with_the_order_is_an_invariant_violation():
+    g = CubeAutomorphism.translation_by(BitVector.all_ones(5))
+    h = CubeAutomorphism.translation_by(BitVector(5, 1))
+    with pytest.raises(InvariantViolated):
+        CubeGroup(5, [g, h], 2).elements  # closes to 4 elements
+    with pytest.raises(InvariantViolated):
+        CubeGroup(5, [g], 4).elements  # closes to 2 elements
+
+
+def test_even_part_checks_the_index():
+    odd = CubeAutomorphism.translation_by(BitVector(5, 1))
+    assert _even_part(5, [odd], 2) == ((), 1)
+    with pytest.raises(InvariantViolated):
+        _even_part(5, [odd], 4)  # <e_1> has order 2, not 4
 
 
 # Oracles for the normalizer: element counts by enumeration, with no
@@ -759,6 +803,12 @@ def check_normalizer(K, counts):
         for g in N.generators:
             assert all(k.conjugated_by(g) in K for k in K.generators)
             assert ambient == "full" or g.is_even()
+        if expected <= 4096:
+            # the element list, closed on first use, lists every element of N once
+            N = normalizer(K, ambient)
+            assert closes_like_generate_group(N)
+            assert len({g.key() for g in N}) == expected
+            assert all(k.conjugated_by(g) in K for g in N for k in K.generators)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -828,13 +878,23 @@ def test_normalizer_of_involution_with_large_centralizer():
         assert len(N.generators) <= 2 * n
 
 
-def test_intersect_even_needs_elements():
-    N = normalizer(generate_group(
-        [CubeAutomorphism.translation_by(BitVector.all_ones(10))]
-    ), "full", cap=1)
-    assert N.elements is None
-    with pytest.raises(Unsupported):
-        intersect_even(N)
+def test_intersect_even_of_a_generator_only_normalizer():
+    K = generate_group([CubeAutomorphism.translation_by(BitVector.all_ones(10))])
+    N = normalizer(K, "full", cap=1)
+    L = intersect_even(N)
+    assert 2 * L.order == N.order == (1 << 10) * math.factorial(10)
+    assert L.order == normalizer(K, "even").order
+    assert all(g.is_even() for g in L.generators)
+
+
+def test_even_part_and_conjugates_keep_the_cap():
+    K = generate_group([CubeAutomorphism.translation_by(BitVector.all_ones(4))])
+    N = normalizer(K, "full", cap=1)
+    g = CubeAutomorphism(BitVector(4, 0b0110), Permutation.from_cycles(4, [(1, 2, 3)]))
+    for L in (intersect_even(N), conjugate_group(N, g)):
+        assert L.cap == 1 and L.order in (192, 384)
+        with pytest.raises(GroupTooLarge):
+            L.elements
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from cubequot import (
     sphere,
 )
 from cubequot.cube_symmetry import _add_to_span, _translation_pivots, standard_generators
-from cubequot.errors import DimensionMismatch, DimensionTooLarge
+from cubequot.errors import DimensionMismatch, DimensionTooLarge, GroupTooLarge
 from cubequot.graph_core import UNDEFINED, VACUOUS, local_params
 from cubequot.quotient import normalizing_translations, quotient_params, translation_roots
 from cubequot.verify import random_subgroup, sample_subgroups
@@ -165,11 +165,13 @@ def quotient_data(Q):
 
 @pytest.mark.parametrize("order,seed", [(2, 0), (2, 1), (4, 0), (4, 1)])
 def test_quotient_of_unlisted_normalizer_matches_closed_group(order, seed):
-    # normalizer(..., cap=1) carries generators only; the quotient needs no more
+    # normalizer(..., cap=1) refuses to list its elements, so a quotient that
+    # needed them would raise; it is built from the generators alone
     rng = random.Random(f"unlisted:{order}:{seed}")
     K = random_subgroup(rng.choice((5, 6, 7)), order, rng)
     N = normalizer(K, "full", cap=1)
-    assert N.elements is None
+    with pytest.raises(GroupTooLarge):
+        N.elements
     closed = generate_group(N.generators)
     assert closed.order == N.order
     assert quotient_data(build_quotient(N)) == quotient_data(build_quotient(closed))
