@@ -22,6 +22,7 @@ from .cube_symmetry import (
     _GroupBuilder,
 )
 from .errors import (
+    DimensionTooLarge,
     InconsistentLift,
     NotCovering,
     NotRectagraph,
@@ -29,6 +30,7 @@ from .errors import (
     ReconstructionFailed,
 )
 from .graph_core import SimpleGraph, bits_of, is_rectagraph
+from .quotient import MAX_QUOTIENT_DIMENSION
 
 
 class CoveringMap:
@@ -104,12 +106,15 @@ def lift_covering(
     (pi(y - e_j), pi(y - e_i - e_j), pi(y - e_i)), and agreement of every
     other bit pair is checked explicitly, converting the existence argument
     into a verified construction. The result always passes verify_covering.
+    Valency n > MAX_QUOTIENT_DIMENSION raises DimensionTooLarge up front.
     """
+    n = target.degree(base)
+    if n > MAX_QUOTIENT_DIMENSION:
+        raise DimensionTooLarge(f"lifting allocates 2^n entries; n={n} > {MAX_QUOTIENT_DIMENSION}")
     if not is_rectagraph(target):
         raise NotRectagraph("target is not a connected rectagraph")
     if not target.is_regular():
         raise NotRectagraph("target is not regular")
-    n = target.degree(base)
     nbrs = target.neighbors(base)
     if neighbor_order is None:
         neighbor_order = nbrs

@@ -490,7 +490,7 @@ def is_locally(G: SimpleGraph, target: SimpleGraph) -> bool:
     """True iff every vertex neighborhood induces a graph isomorphic to target.
 
     One isomorphism search per vertex; for target T_n use
-    `is_locally_triangular`, which needs none when n >= 5.
+    `is_locally_triangular`, which needs none.
     """
     from .iso_aut import are_isomorphic  # deferred: iso_aut builds on this module
 
@@ -507,10 +507,19 @@ def is_locally_triangular(G: SimpleGraph, n: int) -> bool:
     """`is_locally(G, triangular_graph(n))`, decided from the star cliques of
     each neighbourhood (see `triangular_labels`) without building it.
 
-    For n <= 4 stars are not told apart from matched pairs, so the check
-    falls back to `is_locally`; n < 2 raises BadDimension.
+    For n <= 4 stars are not told apart from matched pairs, but T_2, T_3 and
+    T_4 (K_1, K_3 and the octahedron) are the only graphs on C(n,2) vertices
+    that are regular of valency 2(n-2), so those two checks decide it.
+    n < 2 raises BadDimension.
     """
-    if n <= 4:
-        return is_locally(G, triangular_graph(n))
+    if n < 2:
+        raise BadDimension(f"triangular graph needs n >= 2, got {n}")
     adj = G.adj
+    if n <= 4:
+        size, valency = n * (n - 1) // 2, 2 * (n - 2)
+        return all(
+            adj[v].bit_count() == size
+            and all((adj[u] & adj[v]).bit_count() == valency for u in bits_of(adj[v]))
+            for v in range(G.n)
+        )
     return all(_star_labels(adj, adj[v], n) is not None for v in range(G.n))

@@ -12,7 +12,9 @@ searches all read their orbits from it.
 
 from __future__ import annotations
 
-from collections import deque
+import functools
+import itertools
+import math
 from typing import Iterator, Optional, Sequence
 
 
@@ -62,12 +64,13 @@ class PermutationGroup:
 
     A strong generator lives at the deepest level whose base prefix it
     fixes pointwise; the stabilizer H^(i) is generated by the strong
-    generators at levels >= i. After every growing insertion the chain
-    condition is restored bottom-up (deepest level first), so orbits that
-    grow at shallow levels are re-examined.
-
-    New base points are chosen greedily: the moved point lying on the
-    longest cycle of the offending residue (smallest such point on ties).
+    generators at levels >= i. Each level queues the (orbit point a, strong
+    generator g) pairs it has yet to check, deepest level first (Seress
+    2003, ch. 4): a new point c = a^g gets t_c = t_a g, else the Schreier
+    generator t_a g t_c^-1 is sifted once through the deeper, complete
+    levels, and a residue becomes a strong generator. A checked pair stays
+    checked, as deeper levels only grow and no t_a is replaced. A new
+    level's base point is the least point its first strong generator moves.
     """
 
     def __init__(self, degree: int):
@@ -78,16 +81,13 @@ class PermutationGroup:
         # _inverses[i] holds the inverses of those elements under the same keys.
         self._transversals: list[dict[int, tuple[int, ...]]] = []
         self._inverses: list[dict[int, tuple[int, ...]]] = []
+        self._pending: list[list[tuple[int, tuple[int, ...]]]] = []
         self._identity = identity_perm(degree)
-        self.generators: list[tuple[int, ...]] = []
 
     # -- basic queries ------------------------------------------------
 
     def order(self) -> int:
-        n = 1
-        for t in self._transversals:
-            n *= len(t)
-        return n
+        return math.prod(map(len, self._transversals))
 
     def __contains__(self, p: Sequence[int]) -> bool:
         residue, _ = self._sift_from(tuple(p), 0)
@@ -98,14 +98,9 @@ class PermutationGroup:
         if limit is not None and self.order() > limit:
             raise ValueError(f"group order {self.order()} exceeds limit {limit}")
 
-        def rec(level: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if level < 0:
-                yield acc
-                return
-            for t in self._transversals[level].values():
-                yield from rec(level - 1, compose_perms(acc, t))
-
-        yield from rec(len(self.base) - 1, self._identity)
+        levels = [t.values() for t in reversed(self._transversals)]
+        for ts in itertools.product(*levels):
+            yield functools.reduce(compose_perms, ts, self._identity)
 
     # -- construction -------------------------------------------------
 
@@ -117,9 +112,26 @@ class PermutationGroup:
         residue, level = self._sift_from(p, 0)
         if residue is None:
             return False
-        self.generators.append(p)
-        self._insert(residue, level)
-        self._rebuild()
+        self._add_strong(residue, level)
+        pending = self._pending
+        level = len(pending) - 1
+        while level >= 0:
+            if not pending[level]:
+                level -= 1
+                continue
+            a, g = pending[level].pop()
+            trans = self._transversals[level]
+            ag = compose_perms(trans[a], g)
+            c = g[a]
+            if c not in trans:
+                trans[c] = ag
+                self._inverses[level][c] = invert_perm(ag)
+                pending[level].extend((c, h) for gens in self._gens[level:] for h in gens)
+                continue
+            residue, drop = self._sift_from(compose_perms(ag, self._inverses[level][c]), level + 1)
+            if residue is not None:
+                self._add_strong(residue, drop)
+                level = drop
         return True
 
     def _sift_from(self, p: tuple[int, ...], start: int):
@@ -129,79 +141,21 @@ class PermutationGroup:
             if t_inv is None:
                 return p, i
             p = compose_perms(p, t_inv)
-        if p == self._identity:
-            return None, len(self.base)
-        return p, len(self.base)
+        return (None if p == self._identity else p), len(self.base)
 
-    def _new_base_point(self, residue: tuple[int, ...]) -> int:
-        best_point = -1
-        best_len = 0
-        seen = [False] * self.degree
-        for i in range(self.degree):
-            if seen[i] or residue[i] == i:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                length += 1
-                j = residue[j]
-            if length > best_len:
-                best_len = length
-                best_point = i
-        return best_point
-
-    def _insert(self, residue: tuple[int, ...], level: int) -> None:
+    def _add_strong(self, g: tuple[int, ...], level: int) -> None:
+        """Make g a strong generator at `level` and queue it against every
+        orbit point of the levels whose stabilizer it joins."""
         if level == len(self.base):
-            self.base.append(self._new_base_point(residue))
+            b = next(i for i, j in enumerate(g) if i != j)
+            self.base.append(b)
             self._gens.append([])
-            self._transversals.append({})
-            self._inverses.append({})
-        self._gens[level].append(residue)
-
-    def _level_gens(self, level: int) -> list[tuple[int, ...]]:
-        return [g for lvl in range(level, len(self._gens)) for g in self._gens[lvl]]
-
-    def _rebuild(self) -> None:
-        """Restore the chain condition bottom-up over all levels."""
-        i = len(self.base) - 1
-        while i >= 0:
-            self._orbit_transversal(i)
-            trans = self._transversals[i]
-            inverses = self._inverses[i]
-            gens = self._level_gens(i)
-            offender_level = -1
-            for a in list(trans):
-                ta = trans[a]
-                for g in gens:
-                    schreier = compose_perms(compose_perms(ta, g), inverses[g[a]])
-                    residue, drop = self._sift_from(schreier, i + 1)
-                    if residue is not None:
-                        self._insert(residue, drop)
-                        offender_level = drop
-                        break
-                if offender_level >= 0:
-                    break
-            if offender_level >= 0:
-                i = offender_level  # repair the deeper level first, then climb
-            else:
-                i -= 1
-
-    def _orbit_transversal(self, level: int) -> None:
-        b = self.base[level]
-        gens = self._level_gens(level)
-        trans = {b: self._identity}
-        frontier = deque([b])
-        while frontier:
-            a = frontier.popleft()
-            ta = trans[a]
-            for g in gens:
-                c = g[a]
-                if c not in trans:
-                    trans[c] = compose_perms(ta, g)
-                    frontier.append(c)
-        self._transversals[level] = trans
-        self._inverses[level] = {a: invert_perm(t) for a, t in trans.items()}
+            self._transversals.append({b: self._identity})
+            self._inverses.append({b: self._identity})
+            self._pending.append([])
+        self._gens[level].append(g)
+        for i in range(level + 1):
+            self._pending[i].extend((a, g) for a in self._transversals[i])
 
 
 def group_from_generators(degree: int, gens: Sequence[Sequence[int]]) -> PermutationGroup:

@@ -236,15 +236,11 @@ def sample_subgroups(
 
 def exhaustive_order2_subgroups(n: int) -> Iterator[CubeGroup]:
     """All subgroups of order 2, deterministically ordered."""
-    identity = Permutation.identity(n)
-    perms = [identity] + [
-        Permutation(images)
-        for images in itertools.permutations(range(n))
-        if Permutation(images).compose(Permutation(images)).is_identity()
-        and images != identity.images
-    ]
-    for sigma in perms:
-        fix_free = [j for j in range(n) if sigma.images[j] == j]
+    for images in itertools.permutations(range(n)):  # the identity comes first
+        if any(images[images[j]] != j for j in range(n)):
+            continue
+        sigma = Permutation(images)
+        fix_free = [j for j in range(n) if images[j] == j]
         units = [1 << j for j in fix_free] + list(sigma.cycle_masks())
         for pick in range(1 << len(units)):
             bits = 0

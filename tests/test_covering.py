@@ -8,6 +8,7 @@ from cubequot import (
     CoveringMap,
     CubeAutomorphism,
     Permutation,
+    SimpleGraph,
     are_isomorphic,
     build_quotient,
     conjugate_group,
@@ -19,7 +20,7 @@ from cubequot import (
     verify_covering,
     verify_isomorphism,
 )
-from cubequot.errors import NotCovering, NotRectagraph
+from cubequot.errors import DimensionTooLarge, NotCovering, NotRectagraph
 from cubequot.verify import sample_subgroups
 
 from conftest import cube_graph, folded_cube_group
@@ -71,6 +72,18 @@ def test_lift_rejects_non_rectagraph():
     tri = SimpleGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(NotRectagraph):
         lift_covering(tri)
+
+
+def test_lift_refuses_valency_above_quotient_limit():
+    # K_{m,m} is no rectagraph for m >= 3; above valency 20 the size check
+    # comes first, before the 2^m image array exists
+    def k_mm(m):
+        return SimpleGraph.from_edges(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+
+    with pytest.raises(DimensionTooLarge):
+        lift_covering(k_mm(21))
+    with pytest.raises(NotRectagraph):
+        lift_covering(k_mm(20))
 
 
 def test_lift_folded_8_cube(folded8):

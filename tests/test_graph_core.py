@@ -436,6 +436,46 @@ def test_locally_triangular_agrees_with_is_locally_on_halves(n, folded, expected
         assert is_locally(h, triangular_graph(n)) is expected
 
 
+def triangular_torus(k):
+    """The 6-regular triangular lattice on a k x k torus: locally C_6 for k >= 4."""
+    steps = [(1, 0), (0, 1), (1, -1)]
+    edges = {
+        tuple(sorted((i * k + j, (i + di) % k * k + (j + dj) % k)))
+        for i in range(k)
+        for j in range(k)
+        for di, dj in steps
+    }
+    return SimpleGraph.from_edges(k * k, sorted(edges))
+
+
+def small_n_locally_triangular_cases():
+    h3, _ = halved_graphs(cube_graph(3))
+    h4, _ = halved_graphs(cube_graph(4))
+    perm = list(range(h4.n))
+    random.Random(5).shuffle(perm)
+    matching = SimpleGraph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
+    k33 = SimpleGraph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    return [
+        pytest.param(2, complete_graph(2), True, id="K2-T2"),
+        pytest.param(2, matching, True, id="matching-T2"),
+        pytest.param(2, SimpleGraph.from_edges(3, [(0, 1), (1, 2)]), False, id="P3-T2"),
+        pytest.param(3, h3, True, id="halved-Q3-T3"),
+        pytest.param(3, k33, False, id="K33-T3"),  # neighbourhoods of 3, valency 0
+        pytest.param(3, cube_graph(3), False, id="Q3-T3"),
+        pytest.param(4, h4, True, id="halved-Q4-T4"),
+        pytest.param(4, h4.relabeled(perm), True, id="relabelled-halved-Q4-T4"),
+        pytest.param(4, complete_graph(7), False, id="K7-T4"),  # neighbourhoods 5-regular
+        pytest.param(4, triangular_torus(4), False, id="torus-T4"),  # neighbourhoods C_6
+        pytest.param(4, cube_graph(6), False, id="Q6-T4"),  # neighbourhoods edgeless
+    ]
+
+
+@pytest.mark.parametrize("n, graph, expected", small_n_locally_triangular_cases())
+def test_locally_triangular_small_n_agrees_with_is_locally(n, graph, expected):
+    assert is_locally_triangular(graph, n) is expected
+    assert is_locally(graph, triangular_graph(n)) is expected
+
+
 def test_locally_triangular_small_n_and_degree_mismatch():
     h3, _ = halved_graphs(cube_graph(3))
     h4, _ = halved_graphs(cube_graph(4))

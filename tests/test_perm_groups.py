@@ -1,22 +1,36 @@
-"""Schreier-Sims orders and membership against sympy's implementation;
-orbit minima against networkx connected components."""
+"""Schreier-Sims orders and membership against sympy's implementation and
+against a chain repaired by full bottom-up rebuilds; orbit minima against
+networkx connected components."""
 
 import math
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
-from cubequot.cube_symmetry import _monomial_perm, ambient_order, standard_generators
+from cubequot.cube_symmetry import (
+    _monomial_perm,
+    ambient_order,
+    generate_group,
+    standard_generators,
+)
+from cubequot.graph_core import halved_graphs
+from cubequot.iso_aut import automorphism_generators
 from cubequot.perm_groups import (
     PermutationGroup,
     compose_perms,
     group_from_generators,
+    identity_perm,
     invert_perm,
     orbit_minima,
 )
+from cubequot.quotient import build_quotient
+from cubequot.verify import _not_vt_group
+
+from conftest import folded_cube_group
 
 
 def random_perm(degree, rng):
@@ -79,6 +93,162 @@ def test_cube_ambient_orders_match_sympy(n, even):
     G = group_from_generators(2 * n, gens)
     assert G.order() == ambient_order(n, even=even) == sympy_group(2 * n, gens).order()
     assert ambient_order(n) == 2**n * math.factorial(n)
+
+
+class BottomUpChain:
+    """Reference Schreier-Sims: after every growing insertion, rebuild every
+    level's transversal from scratch and re-sift every Schreier generator,
+    deepest level first, climbing back to a level whenever a residue lands
+    there. New base points lie on the residue's longest cycle."""
+
+    def __init__(self, degree, gens=()):
+        self.degree = degree
+        self.base = []
+        self.gens = []  # strong generators per level
+        self.transversals = []
+        self.inverses = []
+        self.identity = identity_perm(degree)
+        for g in gens:
+            self.add_generator(g)
+
+    def order(self):
+        return math.prod(len(t) for t in self.transversals)
+
+    def __contains__(self, p):
+        return self.sift_from(tuple(p), 0)[0] is None
+
+    def add_generator(self, p):
+        residue, level = self.sift_from(tuple(p), 0)
+        if residue is None:
+            return False
+        self.insert(residue, level)
+        self.rebuild()
+        return True
+
+    def sift_from(self, p, start):
+        for i in range(start, len(self.base)):
+            t_inv = self.inverses[i].get(p[self.base[i]])
+            if t_inv is None:
+                return p, i
+            p = compose_perms(p, t_inv)
+        return (None if p == self.identity else p), len(self.base)
+
+    def insert(self, residue, level):
+        if level == len(self.base):
+            cycles = []
+            seen = set()
+            for i in range(self.degree):
+                if i in seen or residue[i] == i:
+                    continue
+                j, length = i, 0
+                while j not in seen:
+                    seen.add(j)
+                    length += 1
+                    j = residue[j]
+                cycles.append((-length, i))
+            self.base.append(min(cycles)[1])
+            self.gens.append([])
+            self.transversals.append({})
+            self.inverses.append({})
+        self.gens[level].append(residue)
+
+    def level_gens(self, level):
+        return [g for gens in self.gens[level:] for g in gens]
+
+    def rebuild(self):
+        i = len(self.base) - 1
+        while i >= 0:
+            self.orbit_transversal(i)
+            trans, inverses = self.transversals[i], self.inverses[i]
+            offender = -1
+            for a, ta in list(trans.items()):
+                for g in self.level_gens(i):
+                    schreier = compose_perms(compose_perms(ta, g), inverses[g[a]])
+                    residue, drop = self.sift_from(schreier, i + 1)
+                    if residue is not None:
+                        self.insert(residue, drop)
+                        offender = drop
+                        break
+                if offender >= 0:
+                    break
+            i = offender if offender >= 0 else i - 1
+
+    def orbit_transversal(self, level):
+        gens = self.level_gens(level)
+        b = self.base[level]
+        trans = {b: self.identity}
+        frontier = deque([b])
+        while frontier:
+            a = frontier.popleft()
+            for g in gens:
+                if g[a] not in trans:
+                    trans[g[a]] = compose_perms(trans[a], g)
+                    frontier.append(g[a])
+        self.transversals[level] = trans
+        self.inverses[level] = {a: invert_perm(t) for a, t in trans.items()}
+
+
+def rebuild_oracle_cases():
+    rng = random.Random(23)
+    cases = [pytest.param(d, g, id=f"random-{d}-{len(g)}") for d, g in random_generator_sets()]
+    for n in range(3, 9):
+        for even in (False, True):
+            gens = [_monomial_perm(g) for g in standard_generators(n, even=even)]
+            cases.append(pytest.param(2 * n, gens, id=f"cube-{n}-{'even' if even else 'full'}"))
+    for degree in (12, 14, 16, 18, 20):
+        pair = [random_perm(degree, rng) for _ in range(2)]
+        cases.append(pytest.param(degree, pair, id=f"pair-{degree}"))
+    # every element of Aut(Q_4) in closure order, as _GroupBuilder adds them
+    elements = [_monomial_perm(g) for g in generate_group(standard_generators(4)).elements]
+    cases.append(pytest.param(8, elements, id="cube-4-elements"))
+    return cases
+
+
+def membership_probes(degree, gens, rng, count=30):
+    """Words in the generators (members), words times a random transposition
+    (members or not) and random permutations (almost always not)."""
+    probes = []
+    for _ in range(count):
+        p = identity_perm(degree)
+        for _ in range(rng.randrange(1, 8)):
+            g = rng.choice(gens)
+            p = compose_perms(p, g if rng.randrange(2) else invert_perm(g))
+        probes.append(p)
+        a, b = rng.sample(range(degree), 2)
+        swap = list(range(degree))
+        swap[a], swap[b] = b, a
+        probes.append(compose_perms(p, swap))
+        probes.append(random_perm(degree, rng))
+    return probes
+
+
+def assert_matches_rebuild(degree, gens):
+    G, oracle = PermutationGroup(degree), BottomUpChain(degree)
+    assert [G.add_generator(g) for g in gens] == [oracle.add_generator(g) for g in gens]
+    assert G.order() == oracle.order()
+    rng = random.Random(degree)
+    for p in membership_probes(degree, list(gens), rng):
+        assert (p in G) == (p in oracle)
+
+
+@pytest.mark.parametrize("degree,gens", rebuild_oracle_cases())
+def test_order_and_membership_match_bottom_up_rebuild(degree, gens):
+    assert_matches_rebuild(degree, gens)
+
+
+@pytest.mark.parametrize(
+    "K,degree",
+    [
+        pytest.param(folded_cube_group(8), 64, id="folded8-half"),
+        pytest.param(_not_vt_group(10), 256, id="lt-not-vt-half"),
+    ],
+)
+def test_half_automorphism_groups_match_bottom_up_rebuild(K, degree):
+    half, _ = halved_graphs(build_quotient(K).graph)
+    gens = automorphism_generators(half)
+    assert half.n == degree
+    assert_matches_rebuild(degree, gens)
+    assert group_from_generators(degree, gens).order() == sympy_group(degree, gens).order()
 
 
 def test_add_generator_reports_growth():

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import cubequot
@@ -33,3 +34,28 @@ def test_no_string_popcounts_in_package():
             and [ast.dump(a) for a in node.args] == [ast.dump(ast.Constant("1"))]
         ]
     assert found == []
+
+
+def test_trace_targets_resolve_in_package():
+    # the traced benchmark run wraps these names in place; a renamed or moved
+    # function would break only that run, so check them here without importing it
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"), filename=str(tracing))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    )
+    assert targets
+    missing = []
+    for name, module, attr in targets:
+        mod = importlib.import_module(module)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in getattr(getattr(mod, cls_name, None), "__dict__", {})
+        else:
+            found = callable(getattr(mod, attr, None))
+        if not found:
+            missing.append(f"{name}: {module}.{attr}")
+    assert missing == []

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import signal
 
@@ -123,6 +124,20 @@ def test_exhaustive_order2_count_n4():
             brute += 1
     assert len(groups) == brute
     assert all(K.order == 2 for K in groups)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_exhaustive_order2_count_and_order(n):
+    # an involution (x, sigma) with m 2-cycles in sigma has x constant on each
+    # 2-cycle: 2^(n-m) choices over n! / (m! 2^m (n-2m)!) such sigma
+    involutions = sum(
+        math.factorial(n) // (math.factorial(m) * 2**m * math.factorial(n - 2 * m)) * 2 ** (n - m)
+        for m in range(n // 2 + 1)
+    )
+    groups = list(exhaustive_order2_subgroups(n))
+    assert len(groups) == involutions - 1
+    sigmas = [K.generators[0].perm.images for K in groups]
+    assert sigmas[0] == tuple(range(n)) and sigmas == sorted(sigmas)
 
 
 def test_brute_force_min_distance_agrees():
