@@ -1,9 +1,16 @@
 """Finite simple graphs and the constructions around distance-2 structure.
 
-Vertices are 0..n-1; adjacency is stored as one bit mask per vertex, which
-keeps breadth-first searches and common-neighbor counts cheap at the scales
-this package works at (a few thousand vertices). Graphs are immutable after
-construction and all operations are pure.
+Vertices are 0..n-1. A graph holds its adjacency in one of two forms. Bit
+masks, one V-bit int per vertex (`SimpleGraph.adj`), keep breadth-first
+searches and common-neighbor counts cheap at the scales this package
+searches at (a few thousand vertices). A neighbour table, one row of
+neighbour ids per vertex, is what a quotient of the cube gives directly:
+its V rows have n entries each, where the masks cost V^2/8 bytes. A graph
+built from a table builds its masks on the first read of `adj`, and
+refuses with TooLarge when they would exceed MASK_BUDGET_BYTES. Export
+(`edges`, `to_json`, `to_dot`) reads one sorted edge array, which a table
+gives without any masks. Graphs are immutable after construction and all
+operations are pure.
 
 Distance parameters follow the usual convention: for vertices u, v at
 distance i, c_i(u, v) counts neighbors of v at distance i-1 from u and
@@ -17,9 +24,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import BadDimension, NotBipartite, NotConnected, PreconditionViolated
+from .errors import BadDimension, NotBipartite, NotConnected, PreconditionViolated, TooLarge
 
 
 class _Sentinel:
@@ -37,6 +45,10 @@ VACUOUS = _Sentinel("VACUOUS")
 
 ParamValue = Union[int, _Sentinel]
 
+# Largest adjacency-mask set a table-built graph builds: V^2/8 bytes for V
+# vertices. The trivial quotient of Q_16 (512 MiB) fits; that of Q_17 does not.
+MASK_BUDGET_BYTES = 1 << 30
+
 
 def bits_of(mask: int):
     """Iterate set bit positions of mask, ascending."""
@@ -47,9 +59,15 @@ def bits_of(mask: int):
 
 
 class SimpleGraph:
-    """Finite undirected graph without loops or multi-edges."""
+    """Finite undirected graph without loops or multi-edges.
 
-    __slots__ = ("n", "adj", "labels")
+    Built from bit masks (`__init__`, `from_edges` and the derived graphs)
+    or from a neighbour table (`_from_table`, used by quotients). A
+    table-built graph builds `adj` on first read; both kinds build their
+    sorted edge array on first use.
+    """
+
+    __slots__ = ("n", "labels", "_adj", "_table", "_edges")
 
     def __init__(self, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None):
         if len(adj) != n:
@@ -65,7 +83,7 @@ class SimpleGraph:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
         if labels is not None and len(labels) != n:
             raise ValueError("label count differs from vertex count")
-        self._fill(n, adj, labels)
+        self._fill(n, tuple(adj), None, labels)
 
     @classmethod
     def _unchecked(
@@ -74,13 +92,51 @@ class SimpleGraph:
         """A graph the library derived from a valid one, built without the
         checks of __init__; the symmetry check alone costs O(E * V / 64)."""
         graph = object.__new__(cls)
-        graph._fill(n, adj, labels)
+        graph._fill(n, tuple(adj), None, labels)
         return graph
 
-    def _fill(self, n: int, adj: Sequence[int], labels: Optional[Sequence[str]]) -> None:
+    @classmethod
+    def _from_table(cls, table, labels: Optional[Sequence[str]] = None) -> "SimpleGraph":
+        """An unchecked graph from a V x d integer array: row v lists the
+        neighbours of v in any order, and may repeat one or hold v itself
+        (both are dropped). w is in row v exactly when v is in row w, w != v."""
+        graph = object.__new__(cls)
+        graph._fill(len(table), None, table, labels)
+        return graph
+
+    def _fill(
+        self, n: int, adj: Optional[tuple[int, ...]], table, labels: Optional[Sequence[str]]
+    ) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_edges", None)
+
+    @property
+    def adj(self) -> tuple[int, ...]:
+        """One bit mask per vertex; a table-built graph builds them on first read."""
+        if self._adj is None:
+            object.__setattr__(self, "_adj", _masks_from_table(self._table))
+        return self._adj
+
+    def _edge_array(self):
+        """The edges (u, v), u < v, as an (E, 2) int64 array in lexicographic
+        order, built on first use from the table if there is one, else from
+        the masks."""
+        if self._edges is None:
+            import numpy as np
+
+            if self._table is not None:
+                edges = _edges_from_table(self._table)
+            else:
+                flat: list[int] = []
+                for u, mask in enumerate(self._adj):
+                    for k in bits_of(mask >> (u + 1)):
+                        flat += (u, u + 1 + k)
+                edges = np.array(flat, dtype=np.int64).reshape(-1, 2)
+            object.__setattr__(self, "_edges", edges)
+        return self._edges
 
     def __setattr__(self, *_):
         raise AttributeError("SimpleGraph is immutable")
@@ -111,16 +167,11 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
+        return len(self._edge_array())
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as sorted pairs in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            m = self.adj[u] >> (u + 1)
-            for k in bits_of(m):
-                out.append((u, u + 1 + k))
-        return out
+        return list(map(tuple, self._edge_array().tolist()))
 
     def degrees(self) -> list[int]:
         return [m.bit_count() for m in self.adj]
@@ -206,7 +257,7 @@ class SimpleGraph:
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        out: dict = {"n_vertices": self.n, "edges": [list(e) for e in self.edges()]}
+        out: dict = {"n_vertices": self.n, "edges": self._edge_array().tolist()}
         if self.labels is not None:
             out["labels"] = list(self.labels)
         return out
@@ -214,10 +265,10 @@ class SimpleGraph:
     def to_json(self) -> str:
         """`json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\\n"`,
         written directly: the json encoder runs in pure Python under indent."""
-        edges = [f"    [\n      {u},\n      {v}\n    ]" for u, v in self.edges()]
+        edges = _render_edges(self._edge_array(), "    [\n      %d,\n      %d\n    ]", ",\n")
         parts = ['{\n  "edges": ', _json_block(edges), ",\n"]
         if self.labels is not None:
-            labels = ["    " + json.dumps(lbl) for lbl in self.labels]
+            labels = ",\n".join(["    " + _json_string(lbl) for lbl in self.labels])
             parts += ['  "labels": ', _json_block(labels), ",\n"]
         parts.append(f'  "n_vertices": {self.n}\n}}\n')
         return "".join(parts)
@@ -232,13 +283,13 @@ class SimpleGraph:
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
-        for v in range(self.n):
-            if self.labels is not None:
-                lines.append(f'  {v} [label="{self.labels[v]}"];')
-            else:
-                lines.append(f"  {v};")
-        for u, v in self.edges():
-            lines.append(f"  {u} -- {v};")
+        if self.labels is not None:
+            lines += [f'  {v} [label="{lbl}"];' for v, lbl in enumerate(self.labels)]
+        else:
+            lines += [f"  {v};" for v in range(self.n)]
+        edges = _render_edges(self._edge_array(), "  %d -- %d;", "\n")
+        if edges:
+            lines.append(edges)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -257,11 +308,65 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, m={self.edge_count})"
 
 
-def _json_block(items: list[str]) -> str:
-    """A list at indent level 1 of `json.dumps(..., indent=2)`, items pre-rendered."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n  ]"
+def _json_block(items: str) -> str:
+    """A list at indent level 1 of `json.dumps(..., indent=2)`, its items
+    pre-rendered and joined."""
+    return "[\n" + items + "\n  ]" if items else "[]"
+
+
+def _json_string(value) -> str:
+    """`json.dumps(value)`; a str goes straight to the C string encoder."""
+    return encode_basestring_ascii(value) if type(value) is str else json.dumps(value)
+
+
+_RENDER_CHUNK = 4096  # edges per %-format
+
+
+def _render_edges(edges, item: str, sep: str) -> str:
+    """`sep.join(item % (u, v) for u, v in edges)`, one %-format per chunk."""
+    flat = edges.ravel().tolist()
+    out = []
+    for start in range(0, len(flat), 2 * _RENDER_CHUNK):
+        chunk = flat[start : start + 2 * _RENDER_CHUNK]
+        out.append(sep.join([item] * (len(chunk) // 2)) % tuple(chunk))
+    return sep.join(out)
+
+
+def _check_mask_budget(vertices: int) -> None:
+    """TooLarge when the masks of that many vertices, V^2/8 bytes, exceed
+    MASK_BUDGET_BYTES."""
+    size = vertices * vertices // 8
+    if size > MASK_BUDGET_BYTES:
+        raise TooLarge(
+            f"adjacency masks of {vertices} vertices need about {size >> 20} MiB; "
+            f"the budget is {MASK_BUDGET_BYTES >> 20} MiB"
+        )
+
+
+def _masks_from_table(table) -> tuple[int, ...]:
+    """Bit-mask rows of a neighbour table (see `SimpleGraph._from_table`),
+    refused before any row is built when over the budget."""
+    _check_mask_budget(len(table))
+    adj = []
+    for a, row in enumerate(table.tolist()):
+        mask = 0
+        for b in row:
+            mask |= 1 << b
+        adj.append(mask & ~(1 << a))
+    return tuple(adj)
+
+
+def _edges_from_table(table):
+    """The sorted (E, 2) edge array of a neighbour table: each row sorted,
+    repeats and ids up to the row's own dropped. Rows come in u order and
+    row u gives the edges (u, v > u), so no global sort is needed."""
+    import numpy as np
+
+    rows = np.sort(table, axis=1)
+    own = np.arange(len(rows), dtype=rows.dtype)[:, None]
+    keep = rows > own
+    keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    return np.stack((np.broadcast_to(own, rows.shape)[keep], rows[keep]), axis=1)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,10 @@ Distinct orbits are adjacent whenever some member of one is cube-adjacent
 to a member of the other; loops are discarded. K acts by cube
 automorphisms, so the neighbours of g(r) lie in the orbits of the
 neighbours of r, and the adjacency is read off the n cube neighbours of
-each representative alone.
+each representative alone. The graph keeps that V x n table of neighbour
+orbit ids: JSON and DOT export read it directly, and the adjacency bit
+masks that BFS, isomorphism and halves need are built on their first use
+(see `graph_core`).
 Semiregularity is not required, so degenerate quotients can be built and
 inspected.
 
@@ -104,16 +107,10 @@ def build_quotient(K: CubeGroup) -> QuotientGraph:
     reps = np.flatnonzero(is_rep)
     orbit_index = (np.cumsum(is_rep) - 1)[rep]
     neighbours = orbit_index[reps[:, None] ^ (1 << np.arange(n))]
-    adj = []
-    for a, row in enumerate(neighbours.tolist()):
-        mask = 0
-        for b in row:
-            mask |= 1 << b
-        adj.append(mask & ~(1 << a))
     reps = reps.tolist()
     width = f"0{n}b"
     labels = [format(r, width)[::-1] for r in reps]  # BitVector(n, r).to_string(), unvalidated
-    graph = SimpleGraph._unchecked(len(reps), adj, labels)
+    graph = SimpleGraph._from_table(neighbours, labels)
     return QuotientGraph(n, K, reps, orbit_index.tolist(), graph)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,66 @@ def test_quotient_dot_format(tmp_path, capsys):
     path.write_text("n=2\n", encoding="utf-8")
     code, out, _ = run_cli(["quotient", str(path), "--format", "dot"], capsys)
     assert code == 0 and out.startswith("graph G {")
+
+
+EXPORT_FILES = {
+    8: QUATERNION_FILE,
+    12: "n=12\nx=110000000000 perm=(3 4)(5 6)(7 8)\nx=000000000111 perm=(1 12)(2 11)\n",
+    15: "n=15\nx=111111111111111 perm=id\n",
+}
+
+
+@pytest.mark.parametrize(
+    "n, fmt, digest",
+    [
+        (8, "json", "52e072ed7772f19a"),
+        (8, "dot", "c1793b7af13e40af"),
+        (12, "json", "be9aae6e463d59e5"),
+        (12, "dot", "934ffbbc62171d84"),
+        (15, "json", "67be3480ee3dae42"),
+        (15, "dot", "e1b7f30949d849ef"),
+    ],
+)
+def test_quotient_export_pinned(n, fmt, digest, tmp_path, capsys):
+    # sha256 recorded while the quotient's edges were read off adjacency masks
+    path = tmp_path / f"k{n}.grp"
+    path.write_text(EXPORT_FILES[n], encoding="utf-8")
+    code, out, _ = run_cli(["quotient", str(path), "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+
+
+def run_cli_capped(args, address_space):
+    """The CLI in a child process whose address space is capped, so a size
+    check that fails to refuse ends in a MemoryError there, not in an OOM."""
+    src = str(Path(cubequot.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "cubequot.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=cap,
+    )
+
+
+def test_mask_users_refuse_trivial_q17_and_quotient_exports_it(tmp_path):
+    # the masks of 2^17 vertices take 2 GiB; params and halves need them
+    path = tmp_path / "trivial17.grp"
+    path.write_text("n=17\n", encoding="utf-8")
+    for command in ("params", "halves"):
+        proc = run_cli_capped([command, str(path)], 3 << 29)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:TOO_LARGE:") and proc.stderr.count("\n") == 1
+    out = tmp_path / "q17.dot"
+    proc = run_cli_capped(["quotient", str(path), "--format", "dot", "--out", str(out)], 3 << 29)
+    assert proc.returncode == 0
+    with open(out, encoding="utf-8") as fh:
+        assert sum(" -- " in line for line in fh) == 17 << 16
 
 
 def test_halves_quaternion_verdict(quaternion_file, tmp_path, capsys):

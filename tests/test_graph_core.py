@@ -3,6 +3,7 @@ import json
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,14 @@ from cubequot import (
     triangular_graph,
     triangular_labels,
 )
-from cubequot.errors import BadDimension, NotBipartite, NotConnected, PreconditionViolated
+from cubequot import graph_core
+from cubequot.errors import (
+    BadDimension,
+    NotBipartite,
+    NotConnected,
+    PreconditionViolated,
+    TooLarge,
+)
 from cubequot.verify import class_dist_grid
 
 from conftest import cube_graph, folded_cube_group
@@ -81,7 +89,52 @@ def labelled_graphs(draw):
 @example(SimpleGraph(0, [], []))
 @example(SimpleGraph(3, [0, 0, 0], ["", None, '"q"']))
 def test_to_json_matches_json_dumps(g):
-    assert g.to_json() == json.dumps(g.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    for h in (g, table_twin(g, random.Random(g.n))):
+        assert h.to_json() == json.dumps(h.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def table_twin(g, rng):
+    """g built from a neighbour table whose rows are shuffled and padded with
+    repeats and the row's own id, as a quotient by a non-semiregular group has."""
+    width = max(g.degrees(), default=0) + rng.randrange(3)
+    rows = []
+    for v in range(g.n):
+        row = g.neighbors(v)
+        row += [rng.choice(row + [v]) for _ in range(width - len(row))]
+        rng.shuffle(row)
+        rows.append(row)
+    return SimpleGraph._from_table(np.array(rows, dtype=np.int64).reshape(g.n, width), g.labels)
+
+
+def export_outputs(g):
+    return g.edges(), g.edge_count, g.to_json_dict(), g.to_json(), g.to_dot()
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_graphs(), st.randoms(use_true_random=False))
+def test_table_graph_matches_mask_graph(g, rng):
+    t = table_twin(g, rng)
+    assert export_outputs(t) == export_outputs(g)
+    assert t._adj is None  # export reads the table alone
+    assert t.adj == g.adj and t == g
+
+
+def test_mask_budget_refuses_before_building(monkeypatch):
+    g = table_twin(cycle_graph(64), random.Random(0))  # 64^2 / 8 = 512 bytes of masks
+    monkeypatch.setattr(graph_core, "MASK_BUDGET_BYTES", 511)
+    with pytest.raises(TooLarge):
+        g.adj
+    assert g._adj is None
+    assert g.edge_count == 64 and g.to_json() == cycle_graph(64).to_json()
+    monkeypatch.setattr(graph_core, "MASK_BUDGET_BYTES", 512)
+    assert g.adj == cycle_graph(64).adj
+
+
+def test_mask_budget_arithmetic():
+    # the trivial quotients of Q_16 and Q_17: 512 MiB and 2 GiB of masks
+    graph_core._check_mask_budget(1 << 16)
+    with pytest.raises(TooLarge):
+        graph_core._check_mask_budget(1 << 17)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,15 +19,16 @@ from cubequot import (
     min_distance,
     natural_map,
     normalizer,
+    parse_group_text,
     sphere,
 )
 from cubequot.cube_symmetry import _add_to_span, _translation_pivots, standard_generators
-from cubequot.errors import DimensionMismatch, DimensionTooLarge, GroupTooLarge
+from cubequot.errors import DimensionMismatch, DimensionTooLarge, GroupTooLarge, TooLarge
 from cubequot.graph_core import UNDEFINED, VACUOUS, local_params
 from cubequot.quotient import normalizing_translations, quotient_params, translation_roots
 from cubequot.verify import random_subgroup, sample_subgroups
 
-from conftest import cube_graph
+from conftest import QUATERNION_FILE, cube_graph, folded_cube_group
 
 
 def weight_vectors(n, w):
@@ -481,3 +484,90 @@ def test_quaternion_roots_separate_sphere_sizes(quaternion_group):
     sizes = {len(sphere(Q, r, 2)) for r in roots}
     assert sizes == {13, 14}
     assert quotient_params(Q, 3) == local_params(Q.graph, 3)
+
+
+# ---------------------------------------------------------------------------
+# The neighbour table: export without masks, masks on first read
+# ---------------------------------------------------------------------------
+
+
+def export_oracle_groups():
+    groups = []
+    for n in range(3, 16):
+        groups.extend(sample_subgroups(n, 3 if n <= 12 else 1, random.Random(500 + n)))
+    groups += [parse_group_text(QUATERNION_FILE), folded_cube_group(8)]
+    # not semiregular: rows hold repeats and the vertex's own id
+    groups += [K for K in sweep_oracle_groups() if min_distance(K) < 2]
+    return groups
+
+
+def export_outputs(G):
+    return G.edges(), G.edge_count, G.to_json(), G.to_dot()
+
+
+@pytest.mark.parametrize("K", export_oracle_groups(), ids=repr)
+def test_table_export_matches_mask_path(K):
+    G = build_quotient(K).graph
+    table_outputs = export_outputs(G)
+    masks = SimpleGraph(G.n, G.adj, G.labels)
+    assert masks._table is None
+    assert table_outputs == export_outputs(masks)
+
+
+def test_one_vertex_quotient_has_no_edges():
+    G = build_quotient(generate_group(standard_generators(3, even=False))).graph
+    assert G.n == 1 and G.edges() == [] and G.edge_count == 0
+    assert json.loads(G.to_json())["edges"] == []
+    assert G.to_dot() == 'graph G {\n  0 [label="000"];\n}\n'
+    assert G.adj == (0,)
+
+
+def test_export_leaves_masks_unbuilt(quaternion_group, folded8):
+    for K in (quaternion_group, folded8, CubeGroup.trivial(9)):
+        G = build_quotient(K).graph
+        G.to_json()
+        G.to_dot()
+        G.to_json_dict()
+        assert G._adj is None
+        G.bfs_level_masks(0)
+        assert G._adj is not None
+
+
+def test_trivial_quotient_of_q17_refuses_masks_before_building():
+    # 2^17 vertices need 2 GiB of masks, over the budget; the export needs none
+    Q = build_quotient(CubeGroup.trivial(17))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            Q.graph.adj
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert Q.graph._adj is None
+    assert Q.graph.edge_count == 17 << 16
+
+
+def check_matrix_code(n, r):
+    """Generators of the translation code {x : Hx = 0}, H = [I_r | A] with the
+    columns of A distinct r-bit vectors of weight 2 and 3. H's columns are
+    distinct and nonzero, so the code has minimum distance 3 and dimension n - r."""
+    columns = [c for c in range(1 << r) if c.bit_count() in (2, 3)][: n - r]
+    return [(1 << (r + j)) | c for j, c in enumerate(columns)]
+
+
+@pytest.mark.parametrize("n", [18, 19, 20])
+def test_large_translation_quotients_without_closing_k(n):
+    r = 10
+    words = check_matrix_code(n, r)
+    span = [0]
+    for w in words:
+        span += [x ^ w for x in span]
+    assert min(x.bit_count() for x in span[1:]) == 3  # d_K
+    gens = [CubeAutomorphism.translation_by(BitVector(n, w)) for w in words]
+    K = CubeGroup(n, gens, len(span), cap=1)  # cap=1: K's elements are never listed
+    Q = build_quotient(K)
+    assert Q.vertex_count == (1 << n) // len(span) == 1 << r
+    assert Q.graph.degrees() == [n] * (1 << r)
+    again = SimpleGraph.from_json_dict(json.loads(Q.graph.to_json()))
+    assert again.adj == Q.graph.adj and again.labels == Q.graph.labels
