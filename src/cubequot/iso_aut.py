@@ -3,17 +3,19 @@
 One individualization-refinement search serves both questions. Vertices are
 colored by an isomorphism-invariant signature (degree plus distance-sphere
 profile), the coloring is refined to equitability by iterated neighbor-color
-multisets, and the search branches on the first largest non-singleton color
-class, smallest vertex first. G's first path takes the smallest vertex at
-every depth and records the class sizes after each refinement (its trace)
-and its leaf. A tree search of X then follows every branch whose trace
-matches, and reads a leaf as the map taking the vertex of each color in G's
-first leaf to the vertex of that color in X's leaf. With X = G the maps are
-automorphisms; branches are also pruned by the orbits of the automorphisms
-already found that fix the current prefix (McKay's "Practical graph
-isomorphism", 1981). With X = H the first map that checks is an
-isomorphism G -> H. Every map is checked edge by edge before it is
-returned or recorded.
+multisets (one row sort of an n x max-degree color array per round), and the
+search branches on the first largest non-singleton color class, smallest
+vertex first. G's first path takes the smallest vertex at every depth and
+records the class sizes after each refinement (its trace) and its leaf. A
+tree search of X then follows every branch whose trace matches, and reads a
+leaf as the map taking the vertex of each color in G's first leaf to the
+vertex of that color in X's leaf. With X = G the maps are automorphisms;
+branches are also pruned by the orbits of the automorphisms already found
+that fix the current prefix, and |Aut(G)| is the product of the first
+path's stabilizer orbit lengths under them (McKay's "Practical graph
+isomorphism", 1981), so no second group algorithm runs. With X = H the
+first map that checks is an isomorphism G -> H. Every map is checked edge
+by edge before it is returned or recorded.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 
 from .errors import TooLarge
 from .graph_core import SimpleGraph, bits_of
-from .perm_groups import group_from_generators, orbit_minima
+from .perm_groups import orbit_minima
 
 MAX_ISO_VERTICES = 2000
 MAX_AUT_VERTICES = 512
@@ -48,21 +50,55 @@ def _invariant_values(G: SimpleGraph) -> list[tuple]:
     ]
 
 
-def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
-    """Equitable refinement by iterated neighbor-color multisets."""
-    n = len(nbrs)
+def _neighbor_table(G: SimpleGraph):
+    """G's neighbour lists as an n x max-degree intp array padded with n."""
+    import numpy as np
+
+    rows = [G.neighbors(v) for v in range(G.n)]
+    table = np.full((G.n, max(map(len, rows), default=0)), G.n, dtype=np.intp)
+    for v, row in enumerate(rows):
+        table[v, : len(row)] = row
+    return table
+
+
+_PAD = 32767  # the int16 maximum: sorts after every color
+
+
+def _refine(table, colors: list[int]) -> list[int]:
+    """Equitable refinement by iterated neighbor-color multisets.
+
+    Each round ranks the signatures (own color, sorted neighbor colors)
+    among the distinct ones, as sorted(set(signatures)) would, until a round
+    splits no class. Row v of `table` lists v's neighbors padded with n. A
+    signature is one int16 row: the own color, then the gathered colors
+    sorted with the pad last and turned into -1, so rows order as Python
+    orders those tuples of unequal length. Colors stay below
+    n <= MAX_ISO_VERTICES, well inside int16.
+    """
+    import numpy as np
+
+    n = len(table)
     ncolors = len(set(colors))
+    ext = np.empty(n + 1, dtype=np.int16)
+    ext[:n] = colors
+    ext[n] = _PAD
+    sig = np.empty((n, table.shape[1] + 1), dtype=np.int16)
+    nbr = sig[:, 1:]
+    ranks = np.empty(n, dtype=np.int16)
     while True:
-        sigs = []
-        for v in range(n):
-            nc = sorted(colors[w] for w in nbrs[v])
-            sigs.append((colors[v], tuple(nc)))
-        order = sorted(set(sigs))
-        if len(order) == ncolors:
-            return colors
-        remap = {s: i for i, s in enumerate(order)}
-        colors = [remap[s] for s in sigs]
-        ncolors = len(order)
+        sig[:, 0] = ext[:n]
+        nbr[...] = ext[table]
+        nbr.sort(axis=1)
+        nbr[nbr == _PAD] = -1
+        order = np.lexsort(sig.T[::-1])
+        ranked = sig[order]
+        ranks[0] = 0
+        np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1), out=ranks[1:])
+        count = int(ranks[-1]) + 1
+        if count == ncolors:
+            return ext[:n].tolist()
+        ext[order] = ranks
+        ncolors = count
 
 
 def _class_sizes(colors: list[int]) -> list[int]:
@@ -97,7 +133,7 @@ def _leaf_labeling(colors: list[int]) -> list[int]:
     return lab
 
 
-def _first_path(nbrs: list[list[int]], colors: list[int]) -> tuple[list[int], list[list[int]]]:
+def _first_path(table, colors: list[int]) -> tuple[list[int], list[list[int]]]:
     """G's leftmost path: the smallest vertex of the target cell at each depth.
 
     Returns the path and the refined colorings along it, from `colors` to
@@ -108,7 +144,7 @@ def _first_path(nbrs: list[list[int]], colors: list[int]) -> tuple[list[int], li
     cell = _target_cell(colors)
     while cell != -1:
         path.append(colors.index(cell))
-        colors = _refine(nbrs, _individualize(colors, path[-1]))
+        colors = _refine(table, _individualize(colors, path[-1]))
         colorings.append(colors)
         cell = _target_cell(colors)
     return path, colorings
@@ -122,14 +158,14 @@ def _first_path(nbrs: list[list[int]], colors: list[int]) -> tuple[list[int], li
 def _search(
     G: SimpleGraph,
     X: SimpleGraph,
-    nbrs: list[list[int]],
+    table,
     colors: list[int],
     first: tuple[list[int], list[list[int]]],
     on_first_path: bool,
 ) -> list[tuple[int, ...]]:
     """The leaves of X's tree that map G onto X, as found.
 
-    `nbrs` and `colors` are X's neighbor lists and refined coloring; `first`
+    `table` and `colors` are X's neighbor table and refined coloring; `first`
     is G's first path. A branch is followed while its class sizes after
     each refinement (its trace) match the first path's. A leaf gives the
     map base[c] -> lab[c], checked edge by edge. With X = G and
@@ -181,7 +217,7 @@ def _search(
             if stays:
                 child = colorings[depth + 1]  # refined once already
             else:
-                child = _refine(nbrs, _individualize(colors, v))
+                child = _refine(table, _individualize(colors, v))
                 if _class_sizes(child) != traces[depth]:
                     continue
             if rec(child, prefix + [v], stays) and not on_path:
@@ -192,13 +228,19 @@ def _search(
     return found
 
 
+def _automorphism_search(G: SimpleGraph) -> tuple[list[int], list[tuple[int, ...]]]:
+    """G's first path and the generators of Aut(G) found by searching G's tree."""
+    if G.n == 0:
+        return [], []
+    table = _neighbor_table(G)
+    colors = _refine(table, _canonical_colors(_invariant_values(G)))
+    first = _first_path(table, colors)
+    return first[0], _search(G, G, table, colors, first, True)
+
+
 def automorphism_generators(G: SimpleGraph) -> list[tuple[int, ...]]:
     """Generators of Aut(G), each verified to preserve adjacency."""
-    if G.n == 0:
-        return []
-    nbrs = [G.neighbors(v) for v in range(G.n)]
-    colors = _refine(nbrs, _canonical_colors(_invariant_values(G)))
-    return _search(G, G, nbrs, colors, _first_path(nbrs, colors), True)
+    return _automorphism_search(G)[1]
 
 
 @dataclass(frozen=True)
@@ -222,11 +264,33 @@ class PermGroupOnGraph:
 
 
 def automorphism_group(G: SimpleGraph) -> PermGroupOnGraph:
-    """Generators of Aut(G) and its exact order (Schreier-Sims)."""
+    """Generators of Aut(G) and its exact order, read off G's first path.
+
+    With b_d the first path's vertex at depth d and A_d the automorphisms
+    fixing b_0..b_{d-1}, A_d acts on the orbit of b_d with stabilizer
+    A_{d+1}, and an automorphism fixing the whole path fixes its discrete
+    leaf coloring, so |Aut(G)| = prod_d |orbit of b_d under A_d|. The
+    generators found that fix b_0..b_{d-1} give that whole orbit (McKay,
+    "Practical graph isomorphism", 1981): a frame on the first path tries
+    every vertex of its cell but those already in the orbit of a tried
+    one, and below each tried vertex v it finds a map whenever some
+    automorphism fixes b_0..b_{d-1} and sends b_d to v. So each factor is
+    one `orbit_minima` call, and the empty product is 1.
+    """
+    import numpy as np
+
     if G.n > MAX_AUT_VERTICES:
         raise TooLarge(f"automorphism search capped at {MAX_AUT_VERTICES} vertices")
-    gens = automorphism_generators(G)
-    return PermGroupOnGraph(G.n, tuple(gens), group_from_generators(max(G.n, 1), gens).order())
+    path, gens = _automorphism_search(G)
+    order = 1
+    fixers = np.array(gens, dtype=np.intp).reshape(len(gens), G.n)
+    for b in path:
+        if not len(fixers):
+            break
+        rep = orbit_minima(fixers)
+        order *= int(np.count_nonzero(rep == rep[b]))
+        fixers = fixers[fixers[:, b] == b]
+    return PermGroupOnGraph(G.n, tuple(gens), order)
 
 
 def is_vertex_transitive(G: SimpleGraph) -> bool:
@@ -274,11 +338,10 @@ def are_isomorphic(G: SimpleGraph, H: SimpleGraph) -> Optional[list[int]]:
     if sorted(inv_G) != sorted(inv_H):
         return None
     colors = _canonical_colors(inv_G + inv_H)
-    nbrs_G = [G.neighbors(v) for v in range(n)]
-    nbrs_H = [H.neighbors(v) for v in range(n)]
-    colors_G = _refine(nbrs_G, colors[:n])
-    colors_H = _refine(nbrs_H, colors[n:])
+    table_G, table_H = _neighbor_table(G), _neighbor_table(H)
+    colors_G = _refine(table_G, colors[:n])
+    colors_H = _refine(table_H, colors[n:])
     if _class_sizes(colors_G) != _class_sizes(colors_H):
         return None
-    found = _search(G, H, nbrs_H, colors_H, _first_path(nbrs_G, colors_G), False)
+    found = _search(G, H, table_H, colors_H, _first_path(table_G, colors_G), False)
     return list(found[0]) if found else None

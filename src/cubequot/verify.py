@@ -182,10 +182,11 @@ def random_involution(
                 bits ^= 1 << (fixed[0] - 1)
             else:
                 continue
-        sigma = Permutation.from_cycles(n, cycles) if cycles else Permutation.identity(n)
-        g = CubeAutomorphism(BitVector(n, bits), sigma)
-        if not g.is_identity():
-            return g
+        if bits or cycles:
+            images = list(range(n))
+            for a, b in cycles:
+                images[a - 1], images[b - 1] = b - 1, a - 1
+            return CubeAutomorphism._from_key(n, bits, tuple(images))
 
 
 def _random_cyclic4(n: int, rng: random.Random) -> Optional[CubeGroup]:
@@ -273,13 +274,17 @@ def elements_with_distance_at_least(
     Returns (translation bits, permutation images, distance) for every
     non-identity element whose vertex displacement distance reaches the
     threshold. Uses the per-permutation closed form, vectorized over the
-    translation part.
+    translation part. The displacement of (y, sigma) counts fixed points
+    of sigma and non-trivial cycles, at most one each, so a permutation
+    with fewer of them together than the threshold is skipped unscanned.
     """
     ys = np.arange(1 << n, dtype=np.int64)
     identity = tuple(range(n))
     out = []
     for images in itertools.permutations(range(n)):
         fixed_mask, cycle_masks = _cycle_data(images)
+        if fixed_mask.bit_count() + len(cycle_masks) < threshold:
+            continue
         d = np.bitwise_count(ys & fixed_mask)
         for mask in cycle_masks:
             d += np.bitwise_count(ys & mask) & 1

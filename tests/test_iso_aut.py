@@ -18,16 +18,19 @@ from cubequot import (
     triangular_graph,
     verify_isomorphism,
 )
-from cubequot.errors import TooLarge
+from cubequot.errors import NotBipartite, TooLarge
 from cubequot.graph_core import bits_of
 from cubequot.iso_aut import (
     _canonical_colors,
     _class_sizes,
+    _individualize,
     _invariant_values,
+    _neighbor_table,
     _refine,
     automorphism_generators,
 )
 from cubequot.perm_groups import group_from_generators
+from cubequot.verify import _default_grid
 
 from conftest import QUATERNION_FILE, cube_graph, folded_cube_group
 
@@ -132,6 +135,24 @@ def test_verify_isomorphism_rejects_bad_mappings():
 # ---------------------------------------------------------------------------
 
 
+def list_refine(nbrs, colors):
+    """The former refinement: per-vertex sorted tuples of neighbor colors,
+    ranked by sorted(set(signatures)), until a round splits no class."""
+    n = len(nbrs)
+    ncolors = len(set(colors))
+    while True:
+        sigs = []
+        for v in range(n):
+            nc = sorted(colors[w] for w in nbrs[v])
+            sigs.append((colors[v], tuple(nc)))
+        order = sorted(set(sigs))
+        if len(order) == ncolors:
+            return colors
+        remap = {s: i for i, s in enumerate(order)}
+        colors = [remap[s] for s in sigs]
+        ncolors = len(order)
+
+
 def _side_balanced(colors, n):
     """Each color class must hold equally many vertices of either graph."""
     balance = [0] * (max(colors) + 1)
@@ -159,7 +180,7 @@ def reference_are_isomorphic(G, H):
     inv = _invariant_values(G) + _invariant_values(H)
     if sorted(inv[:n]) != sorted(inv[n:]):
         return None
-    colors0 = _refine(nbrs, _canonical_colors(inv))
+    colors0 = list_refine(nbrs, _canonical_colors(inv))
     if not _side_balanced(colors0, n):
         return None
 
@@ -185,7 +206,7 @@ def reference_are_isomorphic(G, H):
                 continue
             child = colors[:]
             child[v] = child[w] = max(colors) + 1
-            child = _refine(nbrs, child)
+            child = list_refine(nbrs, child)
             if _side_balanced(child, n):
                 found = rec(child)
                 if found is not None:
@@ -248,6 +269,49 @@ def test_witnesses_equal_the_disjoint_union_search():
 
 
 # ---------------------------------------------------------------------------
+# The array refinement against the list refinement
+# ---------------------------------------------------------------------------
+
+
+def _starting_colorings(g, raw, v):
+    """All-equal, invariant, arbitrary, and one vertex individualized."""
+    invariant = _canonical_colors(_invariant_values(g))
+    refined = list_refine([g.neighbors(w) for w in range(g.n)], invariant)
+    return [[0] * g.n, invariant, _canonical_colors(raw), _individualize(refined, v)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_array_refine_equals_list_refine(data):
+    n = data.draw(st.integers(1, 24), label="n")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    density = data.draw(st.sampled_from((0.1, 0.3, 0.6, 0.9)), label="density")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="edges"))
+    isolated = data.draw(st.integers(0, 3), label="isolated")
+    g = SimpleGraph.from_edges(n + isolated, [e for e in pairs if rng.random() < density])
+    raw = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n), label="raw")
+    v = data.draw(st.integers(0, g.n - 1), label="v")
+    nbrs = [g.neighbors(w) for w in range(g.n)]
+    table = _neighbor_table(g)
+    for colors in _starting_colorings(g, raw, v):
+        assert _refine(table, colors) == list_refine(nbrs, colors)
+
+
+def test_array_refine_equals_list_refine_on_halves():
+    # dense regular graphs with up to 256 vertices: the n=10 half has valency 45
+    rng = random.Random(24)
+    graphs = [petersen(), rook_4x4(), shrikhande(), SimpleGraph(1, [0])]
+    for K in (folded_cube_group(8), _not_vt_group(10), parse_group_text(QUATERNION_FILE)):
+        graphs += halved_graphs(build_quotient(K).graph)
+    for g in graphs:
+        raw = [rng.randrange(3) for _ in range(g.n)]
+        nbrs = [g.neighbors(w) for w in range(g.n)]
+        table = _neighbor_table(g)
+        for colors in _starting_colorings(g, raw, rng.randrange(g.n)):
+            assert _refine(table, colors) == list_refine(nbrs, colors)
+
+
+# ---------------------------------------------------------------------------
 # Automorphism groups: orders against independent knowledge
 # ---------------------------------------------------------------------------
 
@@ -288,6 +352,65 @@ def test_bsgs_order_matches_element_enumeration():
     assert len(elements) == group.order
     ident = tuple(range(group.degree))
     assert ident in elements
+
+
+def _not_vt_group(n):
+    from cubequot import BitVector, CubeAutomorphism, Permutation, generate_group
+
+    return generate_group(
+        [CubeAutomorphism(BitVector.all_ones(n), Permutation.from_cycles(n, [(1, 2)]))]
+    )
+
+
+def _grid_graphs(seed):
+    """The quotients of the default sampled grid and the halves of the bipartite ones."""
+    graphs = []
+    for K in _default_grid(seed):
+        Q = build_quotient(K).graph
+        graphs.append(Q)
+        try:
+            graphs += halved_graphs(Q)
+        except NotBipartite:
+            pass
+    return graphs
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_first_path_order_equals_schreier_sims_on_grid(seed):
+    graphs = _grid_graphs(seed)
+    assert len(graphs) > 100
+    for g in graphs:
+        group = automorphism_group(g)
+        assert group.order == group_from_generators(g.n, group.generators).order()
+
+
+def test_first_path_order_against_sympy():
+    from sympy.combinatorics import Permutation as SymPerm
+    from sympy.combinatorics import PermutationGroup as SymGroup
+
+    graphs = [petersen(), rook_4x4(), shrikhande(), triangular_graph(6)]
+    graphs.append(build_quotient(folded_cube_group(6)).graph)
+    graphs += halved_graphs(build_quotient(parse_group_text(QUATERNION_FILE)).graph)
+    for g in graphs:
+        group = automorphism_group(g)
+        assert group.order == SymGroup([SymPerm(list(p)) for p in group.generators]).order()
+
+
+def test_first_path_order_closed_forms():
+    # |N_even(K)|/|K| for the folded 8-cube and for K = <(1^10, (1 2))>
+    h0, _ = halved_graphs(build_quotient(folded_cube_group(8)).graph)
+    assert automorphism_group(h0).order == (1 << 6) * math.factorial(8) == 2_580_480
+    h0, _ = halved_graphs(build_quotient(_not_vt_group(10)).graph)
+    assert automorphism_group(h0).order == 10_321_920
+
+
+def test_trivial_automorphism_groups_have_order_one():
+    # the empty graph, K_1, and the smallest asymmetric tree (its first
+    # refinement is already discrete): an empty first path, an empty product
+    tree = SimpleGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (5, 6)])
+    for g in (SimpleGraph(0, []), SimpleGraph(1, [0]), tree):
+        group = automorphism_group(g)
+        assert (group.order, group.generators) == (1, ())
 
 
 def _generators_digest(g):

@@ -59,3 +59,17 @@ def test_trace_targets_resolve_in_package():
         if not found:
             missing.append(f"{name}: {module}.{attr}")
     assert missing == []
+
+
+def test_iso_aut_builds_no_schreier_sims_chain():
+    # automorphism_group reads |Aut(G)| off its own search's first path;
+    # the chain stays in perm_groups for the normalizer and as a test oracle
+    path = SRC / "iso_aut.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {
+        alias.name.rsplit(".", 1)[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported & {"group_from_generators", "PermutationGroup"} == set()

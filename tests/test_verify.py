@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import random
@@ -25,6 +27,8 @@ from cubequot.verify import (
     HOLDS,
     ClaimReport,
     brute_force_min_distance,
+    class_dist_grid,
+    describe_group,
     elements_with_distance_at_least,
     exhaustive_order2_subgroups,
     random_involution,
@@ -32,6 +36,7 @@ from cubequot.verify import (
     reports_to_json,
     run_all,
 )
+from cubequot.cube_symmetry import _cycle_data
 from cubequot.verify import _orbit_map, _quaternion_group, _rng
 
 from conftest import folded_cube_group
@@ -318,6 +323,80 @@ def test_random_subgroup_without_such_subgroup_raises(alarm):
         random_subgroup(1, 4, random.Random(0))
     with pytest.raises(PreconditionViolated):
         random_subgroup(2, 6, random.Random(0))
+
+
+def unbounded_element_scan(n, threshold):
+    """The scan without the cycle-count bound: every permutation is scanned."""
+    import numpy as np
+
+    ys = np.arange(1 << n, dtype=np.int64)
+    out = []
+    for images in itertools.permutations(range(n)):
+        fixed_mask, cycle_masks = _cycle_data(images)
+        d = np.bitwise_count(ys & fixed_mask)
+        for mask in cycle_masks:
+            d += np.bitwise_count(ys & mask) & 1
+        for y in np.nonzero(d >= threshold)[0]:
+            y = int(y)
+            if y == 0 and images == tuple(range(n)):
+                continue
+            out.append((y, images, int(d[y])))
+    return out
+
+
+def test_bounded_element_scan_equals_unbounded_scan():
+    for n in range(3, 7):
+        for threshold in range(n + 2):
+            assert elements_with_distance_at_least(n, threshold) == unbounded_element_scan(
+                n, threshold
+            ), (n, threshold)
+
+
+def from_cycles_random_involution(n, rng, force_even=False):
+    """random_involution as built through Permutation.from_cycles and the
+    checked constructors: the same draws, in the same order."""
+    while True:
+        m = rng.randrange(0, n // 2 + 1)
+        coords = list(range(1, n + 1))
+        rng.shuffle(coords)
+        cycles = [(coords[2 * i], coords[2 * i + 1]) for i in range(m)]
+        fixed = coords[2 * m :]
+        bits = 0
+        for a, b in cycles:
+            if rng.randrange(2):
+                bits |= (1 << (a - 1)) | (1 << (b - 1))
+        for i in fixed:
+            if rng.randrange(2):
+                bits |= 1 << (i - 1)
+        if force_even and bits.bit_count() % 2 == 1:
+            if fixed:
+                bits ^= 1 << (fixed[0] - 1)
+            else:
+                continue
+        sigma = Permutation.from_cycles(n, cycles) if cycles else Permutation.identity(n)
+        g = CubeAutomorphism(BitVector(n, bits), sigma)
+        if not g.is_identity():
+            return g
+
+
+@pytest.mark.parametrize("force_even", [False, True])
+def test_random_involution_equals_from_cycles_construction(force_even):
+    rng, oracle_rng = random.Random(13), random.Random(13)
+    for i in range(1000):
+        n = 2 + i % 9
+        g = random_involution(n, rng, force_even=force_even)
+        h = from_cycles_random_involution(n, oracle_rng, force_even=force_even)
+        assert g == h and g.key() == h.key()
+        assert type(g.perm.images) is tuple and g.compose(g).is_identity()
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_class_dist_grid_pinned():
+    # sha256 prefix of the newline-joined describe_group strings of
+    # class_dist_grid(0), recorded before random_involution built its
+    # elements from their keys
+    text = "\n".join(describe_group(K) for K in class_dist_grid(0))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "bbc09375753251de"
 
 
 def test_random_even_involution_needs_two_coordinates(alarm):
