@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--cap-group",
                 type=int,
                 default=DEFAULT_GROUP_CAP,
-                help="bound on the generated group size",
+                help="bound on the group order",
             )
         p.add_argument("--format", choices=formats, default=formats[0])
 

@@ -26,6 +26,13 @@ same immutable classes, with their slots filled and no checks repeated.
 `generate_group` runs its breadth-first search over the keys alone and wraps
 them as views at the end. Operations are pure functions.
 
+A group's order, its translations T and its minimum distance come from its
+generators alone: a Schreier walk over its coordinate parts gives pi(K), one
+representative per part and T (`_schreier_walk`), and d_K of a group without
+an element list is the least coset minimum weight over pi(K)
+(`min_distance`). The element list is closed only when a caller iterates the
+group.
+
 One coset search finds the transporter {g : g^-1 K g = L}: `conjugating_element`
 takes its first element, and `normalizer` is the transporter from K to itself.
 """
@@ -43,6 +50,7 @@ from .errors import (
     IdentityElement,
     InvariantViolated,
     ParseError,
+    TooLarge,
     Unsupported,
 )
 from .perm_groups import PermutationGroup
@@ -55,6 +63,13 @@ MAX_DIMENSION = 32
 
 # The coset search of `normalizer` (|K| > 2) and `conjugating_element` runs while 2^n n! <= this.
 _COSET_SEARCH_CAP = 10**8
+
+# The Schreier walk keeps at most this many coordinate parts, one key each:
+# no more keys than the largest closure the default cap admits.
+_WALK_CAP = DEFAULT_GROUP_CAP
+
+# A coset minimum weight visits at most this many words, one at a time.
+_COSET_WORD_CAP = 2**24
 
 
 def _check_dimension(n: int) -> None:
@@ -398,10 +413,11 @@ class CubeGroup:
     of `generate_group(generators)`. `generate_group` fills it during its own
     closure; any other group closes it from its generators on first use. A
     group whose order exceeds its cap raises GroupTooLarge there, before any
-    closure starts.
+    closure starts. Its coordinate parts and translations come from a Schreier
+    walk over the generators (`_coset_walk`), also on first use.
     """
 
-    __slots__ = ("n", "generators", "order", "cap", "_element_list", "_element_keys")
+    __slots__ = ("n", "generators", "order", "cap", "_element_list", "_element_keys", "_walk")
 
     def __init__(
         self,
@@ -410,6 +426,7 @@ class CubeGroup:
         order: int,
         cap: int = DEFAULT_GROUP_CAP,
         elements: Optional[tuple[CubeAutomorphism, ...]] = None,
+        walk: Optional[tuple[dict[tuple[int, ...], int], dict[int, int]]] = None,
     ):
         _check_dimension(n)
         object.__setattr__(self, "n", n)
@@ -418,6 +435,7 @@ class CubeGroup:
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "_element_list", elements)
         object.__setattr__(self, "_element_keys", None)
+        object.__setattr__(self, "_walk", walk)
 
     def __setattr__(self, *_):
         raise AttributeError("CubeGroup is immutable")
@@ -443,6 +461,17 @@ class CubeGroup:
                 raise InvariantViolated(f"{len(closed)} elements close, the order is {self.order}")
             object.__setattr__(self, "_element_list", closed)
         return self._element_list
+
+    def _coset_walk(self) -> tuple[dict[tuple[int, ...], int], dict[int, int]]:
+        """(reps, t_pivots) of `_schreier_walk`, walked on first use. Raises
+        InvariantViolated when the walk's |pi(K)| 2^dim T is not the order."""
+        if self._walk is None:
+            walk = _schreier_walk(self.n, self.generators)
+            order = len(walk[0]) << len(walk[1])
+            if order != self.order:
+                raise InvariantViolated(f"generators walk to order {order}, the order is {self.order}")
+            object.__setattr__(self, "_walk", walk)
+        return self._walk
 
     def _keys(self) -> frozenset:
         keys = self._element_keys
@@ -551,10 +580,39 @@ def element_min_distance(g: CubeAutomorphism) -> int:
     return d
 
 
+def _least_weight(word: int, basis: Sequence[int]) -> int:
+    """min over c in the span of basis of the weight of word xor c, for a
+    word outside that span, so that no word of the coset is 0.
+
+    The coset is walked in Gray-code order, one word at a time, and the walk
+    stops at weight 1. TooLarge when it holds more than _COSET_WORD_CAP
+    words, before the walk starts.
+    """
+    if 1 << len(basis) > _COSET_WORD_CAP:
+        raise TooLarge(f"coset of 2^{len(basis)} words exceeds {_COSET_WORD_CAP}")
+    best = word.bit_count()
+    for i in range(1, 1 << len(basis)):
+        if best == 1:
+            break
+        word ^= basis[(i & -i).bit_length() - 1]
+        w = word.bit_count()
+        if w < best:
+            best = w
+    return best
+
+
 def min_distance(K: CubeGroup) -> float | int:
-    """Minimum distance of K; INFINITY for the trivial group."""
+    """Minimum distance of K; INFINITY for the trivial group.
+
+    A group that holds its element list is scanned element by element: on
+    the small groups the claims close, that costs less than half of a walk.
+    Any other group takes coset minima from its Schreier walk
+    (`_coset_min_distance`) and closes no list.
+    """
     if K.is_trivial:
         return INFINITY
+    if K._element_list is None:
+        return _coset_min_distance(K)
     best = INFINITY
     for g in K.non_identity():
         d = element_min_distance(g)
@@ -562,6 +620,49 @@ def min_distance(K: CubeGroup) -> float | int:
             if d == 0:
                 return 0  # nothing is smaller; the rest of K need not be scanned
             best = d
+    return best
+
+
+def _fold(v: int, fixed_mask: int, cycles: Sequence[tuple[int, int]]) -> int:
+    """M(v): v on the fixed coordinates, and its parity on each (bit, cycle mask) at that bit."""
+    w = v & fixed_mask
+    for bit, mask in cycles:
+        w |= ((v & mask).bit_count() & 1) << bit
+    return w
+
+
+def _coset_min_distance(K: CubeGroup) -> int:
+    """d_K of a non-trivial group from its Schreier walk, with no element list.
+
+    The elements over a coordinate part sigma are (x_sigma xor t, sigma),
+    t in T. By the closed form of `element_min_distance`, each one's distance
+    is the weight of M(x_sigma xor t), where M keeps the coordinates sigma
+    fixes and takes the parity on each of its cycles (at bits n, n+1, ...).
+    M is linear, so the least distance over sigma is a coset minimum weight
+    in the code M(T). M(x_sigma) reduced by an echelon basis of M(T) is 0
+    exactly when its coset holds 0. Over the identity it is the least weight
+    of a non-zero t, and each such t is b_p plus a combination of the basis
+    vectors below its leading bit p.
+    """
+    reps, t_pivots = K._coset_walk()
+    t_basis = [t_pivots[p] for p in sorted(t_pivots)]
+    best = INFINITY
+    for images, x in reps.items():
+        fixed_mask, cycle_masks = _cycle_data(images)
+        if not cycle_masks:
+            continue  # the identity part, searched last
+        cycles = list(enumerate(cycle_masks, start=K.n))
+        code: dict[int, int] = {}
+        for t in t_basis:
+            _add_to_span(_fold(t, fixed_mask, cycles), code)
+        word = _reduce(_fold(x, fixed_mask, cycles), code)
+        if word == 0:
+            return 0  # nothing is smaller; the other cosets need not be searched
+        best = min(best, _least_weight(word, list(code.values())))
+    for i, t in enumerate(t_basis):
+        if best == 1:
+            break
+        best = min(best, _least_weight(t, t_basis[:i]))
     return best
 
 
@@ -680,13 +781,63 @@ def _add_to_span(v: int, pivots: dict[int, int]) -> bool:
     return bool(v)
 
 
-def _translation_pivots(K: CubeGroup) -> dict[int, int]:
-    """An echelon basis of T, the subspace of translations in K."""
+def _schreier_walk(
+    n: int, gens: Sequence[CubeAutomorphism], cap: float = INFINITY
+) -> tuple[dict[tuple[int, ...], int], dict[int, int]]:
+    """The coordinate parts pi(K) of K = <gens>, and T, from the generators alone.
+
+    Walks pi(K) breadth-first from the identity, applying the generators in
+    input order, and keeps one representative r_sigma = (x_sigma, sigma) per
+    part: the first product r_sigma' g that reaches it. T, the translations in
+    K, is the kernel of pi: K -> S_n. By Schreier's lemma the elements
+    r_sigma g r_tau^-1, tau the part of r_sigma g, generate it (Seress,
+    Permutation Group Algorithms, 2003, 4.1); each is the translation
+    (z xor x_tau)^(tau^-1), z the translation of r_sigma g, and goes into an
+    echelon basis. So |K| = |pi(K)| 2^dim T.
+
+    Returns reps (images of sigma -> x_sigma, identity first) and the pivots
+    of T. Raises GroupTooLarge as soon as the order found so far exceeds cap,
+    or the walk holds more than _WALK_CAP parts.
+    """
+    ident = tuple(range(n))
+    steps = [(g.translation.bits, g.perm.images, g.perm.images == ident) for g in gens]
+    reps = {ident: 0}
+    queue = [ident]
     pivots: dict[int, int] = {}
-    for g in K.elements:
-        if g.perm.is_identity():
-            _add_to_span(g.translation.bits, pivots)
-    return pivots
+    for sigma in queue:
+        x = reps[sigma]
+        for g_y, g_images, g_is_translation in steps:
+            if g_is_translation:
+                tau, z = sigma, x ^ g_y
+            else:
+                tau, z = tuple([g_images[j] for j in sigma]), _move_bits(x, g_images) ^ g_y
+            x_tau = reps.get(tau)
+            if x_tau is None:
+                reps[tau] = z
+                queue.append(tau)
+                if len(reps) > _WALK_CAP:
+                    raise GroupTooLarge(f"coordinate parts exceed {_WALK_CAP}")
+            elif z == x_tau or len(pivots) == n:
+                continue
+            elif not _add_to_span(_move_bits(z ^ x_tau, _inverse_images(tau)), pivots):
+                continue
+            if len(reps) << len(pivots) > cap:
+                raise GroupTooLarge(f"group order exceeds cap {cap}")
+    return reps, pivots
+
+
+def _translation_pivots(K: CubeGroup) -> dict[int, int]:
+    """An echelon basis of T, the subspace of translations in K, in a dict of
+    the caller's own: callers extend it."""
+    return dict(K._coset_walk()[1])
+
+
+def _span(pivots: dict[int, int]) -> list[int]:
+    """Every vector of the span of pivots."""
+    words = [0]
+    for v in pivots.values():
+        words += [w ^ v for w in words]
+    return words
 
 
 def _translation_system(
@@ -737,10 +888,9 @@ class _LiftSolver:
 
     def __init__(self, K: CubeGroup, L: CubeGroup):
         self.n = K.n
-        self.t_pivots = _translation_pivots(L)
-        self.fibres: dict[tuple[int, ...], int] = {}
-        for g in L:
-            self.fibres.setdefault(g.perm.images, g.translation.bits)
+        # one x_s' per part of L; lift reduces every target modulo T, so any
+        # representative of the coset gives the same y
+        self.fibres, self.t_pivots = L._coset_walk()
         self.gens = [g.key() for g in K.generators]
         # echelon rows per tuple of conjugated coordinate parts (s'_j)
         self._systems: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
@@ -814,9 +964,10 @@ def _admissible_coordinate_parts(K: CubeGroup, L: CubeGroup) -> Iterator[Permuta
     p(tau(j)) must still be a free image.
     """
     n = K.n
-    parts = list(dict.fromkeys(g.perm.images for g in L))
+    reps, t_pivots = L._coset_walk()
+    parts = list(reps)
     perm_gens = list(dict.fromkeys(g.perm.images for g in K.generators if not g.perm.is_identity()))
-    translations = [g.translation.bits for g in L if g.perm.is_identity()]
+    translations = _span(t_pivots)
     trans_gens = [g.translation.bits for g in K.generators if g.perm.is_identity()]
     # checks[g][i]: the j whose constraint is tested once tau(i) is assigned:
     # j = i, and the earlier j with s(j) = i
@@ -1005,7 +1156,9 @@ def parse_group_text(text: str, cap: int = DEFAULT_GROUP_CAP) -> CubeGroup:
     """Parse the group file format.
 
     Line 1 is "n=<int>"; each later non-empty line is one generator,
-    "x=<n bits, coordinate 1 leftmost> perm=<cycles or id>".
+    "x=<n bits, coordinate 1 leftmost> perm=<cycles or id>". The group is
+    its generators and the order of their Schreier walk; GroupTooLarge when
+    that order exceeds cap, before any element list exists.
     """
     lines = text.splitlines()
     n = None
@@ -1035,7 +1188,8 @@ def parse_group_text(text: str, cap: int = DEFAULT_GROUP_CAP) -> CubeGroup:
         gens.append(CubeAutomorphism(vec, perm))
     if n is None:
         raise ParseError(1, "empty file: missing 'n=<int>' header")
-    return generate_group(gens, cap=cap, n=n)
+    walk = _schreier_walk(n, gens, cap)
+    return CubeGroup(n, gens, len(walk[0]) << len(walk[1]), cap, walk=walk)
 
 
 def parse_group_file(path, cap: int = DEFAULT_GROUP_CAP) -> CubeGroup:

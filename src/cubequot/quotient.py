@@ -4,9 +4,10 @@ Vertices of Q_n are the integers 0..2^n-1. The representative of an orbit
 is its numerically smallest vertex. It is found for every vertex at once
 from K's generators alone: `perm_groups.orbit_minima` runs on the image
 tables v -> g(v) of the generators, so building a quotient never closes
-K's element list (`translation_roots` does, on first use, for the
-translations in K). Orbit ids are sorted by representative, and vertex labels of the
-quotient graph are the representative bit strings (coordinate 1 leftmost).
+K's element list, and neither does `translation_roots`: it reads the
+translations in K off the group's Schreier walk. Orbit ids are sorted by
+representative, and vertex labels of the quotient graph are the
+representative bit strings (coordinate 1 leftmost).
 Distinct orbits are adjacent whenever some member of one is cube-adjacent
 to a member of the other; loops are discarded. K acts by cube
 automorphisms, so the neighbours of g(r) lie in the orbits of the

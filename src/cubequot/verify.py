@@ -13,11 +13,10 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .covering import deck_group, lift_covering, verify_covering
 from .cube_symmetry import (
@@ -109,7 +108,9 @@ def _jsonify(value):
         return "UNDEFINED"
     if value is VACUOUS:
         return "VACUOUS"
-    if isinstance(value, (np.integer,)):
+    # numpy is imported on first use; while it is not loaded, no value is a numpy scalar
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.integer):
         return int(value)
     if isinstance(value, BitVector):
         return value.to_string()
@@ -256,6 +257,8 @@ def exhaustive_order2_subgroups(n: int) -> Iterator[CubeGroup]:
 
 def brute_force_min_distance(K: CubeGroup):
     """Independent route to d_K: scans all 2^n vertices per element."""
+    import numpy as np
+
     if K.is_trivial:
         return INFINITY
     moved = image_tables([g.key() for g in K.non_identity()])
@@ -278,6 +281,8 @@ def elements_with_distance_at_least(
     of sigma and non-trivial cycles, at most one each, so a permutation
     with fewer of them together than the threshold is skipped unscanned.
     """
+    import numpy as np
+
     ys = np.arange(1 << n, dtype=np.int64)
     identity = tuple(range(n))
     out = []
@@ -395,6 +400,8 @@ def _sphere_vs_weight_classes(Q: QuotientGraph, x: int, level: int):
 def _orbit_map(Q: QuotientGraph, images) -> Optional[list[int]]:
     """The map on Q's orbits induced by v -> images[v] on cube vertices, or
     None when images is not constant on some orbit."""
+    import numpy as np
+
     mapping = images[np.array(Q.reps)]
     if not np.array_equal(mapping[np.array(Q.orbit_index)], images):
         return None
@@ -463,6 +470,8 @@ def check_main_even(K: CubeGroup) -> ClaimReport:
 
 def check_even_lemma(K: CubeGroup) -> ClaimReport:
     """Bipartite iff even; double and its halves for non-even groups."""
+    import numpy as np
+
     d = min_distance(K)
     if d < 2:
         raise PreconditionViolated("check_even_lemma needs d_K >= 2")
@@ -598,6 +607,8 @@ def _lem_trick(seed: int) -> ClaimReport:
 
 @_claim("lem-cycle", "If 3 <= d_K < inf the quotient has a cycle of length d_K.")
 def _lem_cycle(seed: int) -> ClaimReport:
+    import numpy as np
+
     groups = _default_grid(seed, per_n=6)
     found = 0
     for K in groups:
@@ -821,6 +832,8 @@ def _cor_main_rect(seed: int) -> ClaimReport:
     "Conjugation induces a quotient isomorphism commuting with the natural maps.",
 )
 def _prop_conjugate(seed: int) -> ClaimReport:
+    import numpy as np
+
     rng = _rng(seed, "propconj")
     checked = 0
     for n in (4, 5, 6, 7, 8):

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import cubequot
+from cubequot import CubeGroup, cube_symmetry, format_group_text
 from cubequot.cli import main
+from cubequot.cube_symmetry import standard_generators
 
 from conftest import QUATERNION_FILE
 
@@ -332,6 +334,20 @@ def test_group_cap_enforced(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, _, err = run_cli(["mindist", str(path), "--cap-group", "10"], capsys)
     assert code == 1 and err.startswith("error:GROUP_TOO_LARGE:")
+
+
+def test_mindist_above_the_default_cap_closes_no_list(tmp_path, capsys, monkeypatch):
+    # Aut(Q_8), order 2^8 8! = 10,321,920: order and d_K come from the generators alone
+    path = tmp_path / "aut8.grp"
+    path.write_text(format_group_text(CubeGroup(8, standard_generators(8), 1)), encoding="utf-8")
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("generate_group called")
+
+    monkeypatch.setattr(cube_symmetry, "generate_group", no_closure)
+    code, out, _ = run_cli(["mindist", str(path), "--cap-group", "20000000"], capsys)
+    assert code == 0
+    assert "d_K=0" in out.splitlines() and "order=10321920" in out.splitlines()
 
 
 def test_console_entry_point_runs():

@@ -28,9 +28,14 @@ from cubequot import cube_symmetry
 from cubequot.covering import deck_group, lift_covering
 from cubequot.cube_symmetry import (
     DEFAULT_GROUP_CAP,
+    _add_to_span,
     _cycle_data,
     _even_part,
+    _least_weight,
     _monomial_perm,
+    _schreier_walk,
+    _span,
+    _translation_pivots,
     conjugating_element,
     standard_generators,
 )
@@ -40,11 +45,14 @@ from cubequot.errors import (
     IdentityElement,
     InvariantViolated,
     ParseError,
+    TooLarge,
     Unsupported,
 )
 from cubequot.quotient import build_quotient
 from cubequot.verify import (
+    class_dist_grid,
     describe_group,
+    exhaustive_order2_subgroups,
     random_involution,
     random_subgroup,
     sample_groups_with_min_distance,
@@ -424,6 +432,110 @@ def test_min_distance_of_linear_code_is_min_weight():
             assert min_distance(K) == min(weights)
 
 
+# Oracles for the Schreier walk and the coset minima: the closed element list.
+
+
+def scan_min_distance(K):
+    """d_K by the element scan: the closed form of every non-identity element."""
+    return min((element_min_distance(g) for g in K.non_identity()), default=INFINITY)
+
+
+def check_walk_matches_closure(K):
+    """Order, pi(K), representatives, T and d_K from the generators alone
+    equal those read off generate_group's element list."""
+    closed = generate_group(K.generators, n=K.n)
+    keys = {g.key() for g in closed}
+    reps, t_pivots = _schreier_walk(K.n, K.generators)
+    assert len(reps) << len(t_pivots) == closed.order
+    assert set(reps) == {images for _, images in keys}
+    assert all((x, images) in keys for images, x in reps.items())
+    identity = tuple(range(K.n))
+    assert sorted(_span(t_pivots)) == sorted(y for y, images in keys if images == identity)
+    unlisted = CubeGroup(K.n, K.generators, closed.order, cap=1)
+    d = min_distance(unlisted)
+    assert d == scan_min_distance(closed)
+    assert sorted(_translation_pivots(unlisted).values()) == sorted(t_pivots.values())
+    return closed.order, d
+
+
+def test_walk_matches_closure_on_the_class_dist_grid():
+    for K in class_dist_grid(0):
+        assert check_walk_matches_closure(K)[0] == K.order
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_matches_closure_on_every_order2_subgroup(n):
+    for K in exhaustive_order2_subgroups(n):
+        assert check_walk_matches_closure(K)[0] == 2
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_walk_matches_closure_on_translation_codes(k):
+    rng = random.Random(f"code:{k}")
+    for n in (k, k + 2, 16):
+        for _ in range(2):
+            basis: dict[int, int] = {}
+            while len(basis) < k:
+                _add_to_span(rng.randrange(1, 1 << n), basis)
+            gens = [CubeAutomorphism.translation_by(BitVector(n, v)) for v in basis.values()]
+            order, d = check_walk_matches_closure(CubeGroup(n, gens, 1 << k))
+            assert order == 1 << k
+            assert d == min(v.bit_count() for v in _span(basis) if v)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_walk_matches_closure_on_permutations_over_large_translation_parts(seed):
+    # cosets whose code M(T) is neither 0 nor everything, so the Gray-code walk runs
+    rng = random.Random(f"large-T:{seed}")
+    checked = 0
+    while checked < 50:
+        n = rng.choice((5, 6, 7, 8))
+        gens = [random_element(n, rng) for _ in range(rng.choice((1, 2)))]
+        gens += [CubeAutomorphism.translation_by(BitVector(n, rng.randrange(1, 1 << n)))]
+        try:
+            order = generate_group(gens, cap=4096).order
+        except GroupTooLarge:
+            continue
+        assert check_walk_matches_closure(CubeGroup(n, gens, order))[0] == order
+        checked += 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_walk_matches_closure_on_the_cube_automorphism_group(n):
+    assert check_walk_matches_closure(CubeGroup(n, standard_generators(n), 1)) == (
+        (1 << n) * math.factorial(n),
+        0,
+    )
+
+
+def test_parse_walks_the_order_and_closes_no_list(monkeypatch):
+    text = format_group_text(CubeGroup(6, standard_generators(6), 1))
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("generate_group called")
+
+    monkeypatch.setattr(cube_symmetry, "generate_group", no_closure)
+    K = parse_group_text(text)
+    assert K.order == 46080 and min_distance(K) == 0
+    with pytest.raises(GroupTooLarge):
+        parse_group_text(text, cap=46079)
+
+
+def test_walk_refuses_past_its_bound(monkeypatch):
+    monkeypatch.setattr(cube_symmetry, "_WALK_CAP", 100)
+    with pytest.raises(GroupTooLarge):
+        _schreier_walk(6, standard_generators(6))  # 720 coordinate parts
+    assert len(_schreier_walk(4, standard_generators(4))[0]) == 24
+
+
+def test_coset_word_bound_is_checked_before_the_walk(monkeypatch):
+    monkeypatch.setattr(cube_symmetry, "_COSET_WORD_CAP", 1 << 3)
+    coset = [0b11110 ^ a ^ b ^ c for a in (0, 0b11) for b in (0, 0b110) for c in (0, 0b1100)]
+    assert _least_weight(0b11110, [0b11, 0b110, 0b1100]) == min(w.bit_count() for w in coset) == 2
+    with pytest.raises(TooLarge):
+        _least_weight(0b11110, [0b11, 0b110, 0b1100, 0b11000])
+
+
 # ---------------------------------------------------------------------------
 # Evenness, semiregularity, conjugation, even part
 # ---------------------------------------------------------------------------
@@ -707,6 +819,8 @@ def test_element_list_that_disagrees_with_the_order_is_an_invariant_violation():
         CubeGroup(5, [g, h], 2).elements  # closes to 4 elements
     with pytest.raises(InvariantViolated):
         CubeGroup(5, [g], 4).elements  # closes to 2 elements
+    with pytest.raises(InvariantViolated):
+        min_distance(CubeGroup(5, [g, h], 2))  # the Schreier walk finds order 4
 
 
 def test_even_part_checks_the_index():

@@ -22,6 +22,7 @@ from cubequot import (
     parse_group_text,
     sphere,
 )
+from cubequot import cube_symmetry
 from cubequot.cube_symmetry import _add_to_span, _translation_pivots, standard_generators
 from cubequot.errors import DimensionMismatch, DimensionTooLarge, GroupTooLarge, TooLarge
 from cubequot.graph_core import UNDEFINED, VACUOUS, local_params
@@ -178,6 +179,24 @@ def test_quotient_of_unlisted_normalizer_matches_closed_group(order, seed):
     closed = generate_group(N.generators)
     assert closed.order == N.order
     assert quotient_data(build_quotient(N)) == quotient_data(build_quotient(closed))
+    # distance data from the Schreier walk, against the closed list's scan
+    assert min_distance(N) == min_distance(closed)
+    assert quotient_params(build_quotient(N), 3) == quotient_params(build_quotient(closed), 3)
+
+
+def test_distance_data_of_the_folded_8_normalizer_need_no_closure(monkeypatch):
+    # the normalizer of the folded 8-cube is Aut(Q_8), of order 10,321,920
+    K = folded_cube_group(8)
+    N = normalizer(K, "full", cap=1)
+    assert N.order == (1 << 8) * 40320
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("generate_group called")
+
+    monkeypatch.setattr(cube_symmetry, "generate_group", no_closure)
+    assert min_distance(N) == 0
+    params = quotient_params(build_quotient(N), 2)
+    assert [p.level for p in params] == [0, 1, 2] and params[0].valency == 0
 
 
 def test_dimension_cap():
