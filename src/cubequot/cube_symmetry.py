@@ -28,10 +28,9 @@ them as views at the end. Operations are pure functions.
 
 A group's order, its translations T and its minimum distance come from its
 generators alone: a Schreier walk over its coordinate parts gives pi(K), one
-representative per part and T (`_schreier_walk`), and d_K of a group without
-an element list is the least coset minimum weight over pi(K)
-(`min_distance`). The element list is closed only when a caller iterates the
-group.
+representative per part and T (`_schreier_walk`), and d_K is the least
+coset minimum weight over pi(K) (`min_distance`). The element list is closed
+only when a caller iterates the group.
 
 One coset search finds the transporter {g : g^-1 K g = L}: `conjugating_element`
 takes its first element, and `normalizer` is the transporter from K to itself.
@@ -604,23 +603,12 @@ def _least_weight(word: int, basis: Sequence[int]) -> int:
 def min_distance(K: CubeGroup) -> float | int:
     """Minimum distance of K; INFINITY for the trivial group.
 
-    A group that holds its element list is scanned element by element: on
-    the small groups the claims close, that costs less than half of a walk.
-    Any other group takes coset minima from its Schreier walk
-    (`_coset_min_distance`) and closes no list.
+    Taken as coset minima over K's Schreier walk (`_coset_min_distance`), so
+    no element list is closed.
     """
     if K.is_trivial:
         return INFINITY
-    if K._element_list is None:
-        return _coset_min_distance(K)
-    best = INFINITY
-    for g in K.non_identity():
-        d = element_min_distance(g)
-        if d < best:
-            if d == 0:
-                return 0  # nothing is smaller; the rest of K need not be scanned
-            best = d
-    return best
+    return _coset_min_distance(K)
 
 
 def _fold(v: int, fixed_mask: int, cycles: Sequence[tuple[int, int]]) -> int:
@@ -796,8 +784,8 @@ def _schreier_walk(
     echelon basis. So |K| = |pi(K)| 2^dim T.
 
     Returns reps (images of sigma -> x_sigma, identity first) and the pivots
-    of T. Raises GroupTooLarge as soon as the order found so far exceeds cap,
-    or the walk holds more than _WALK_CAP parts.
+    of T. Raises GroupTooLarge as soon as the order found so far exceeds cap;
+    with no cap, as soon as the walk holds more than _WALK_CAP parts.
     """
     ident = tuple(range(n))
     steps = [(g.translation.bits, g.perm.images, g.perm.images == ident) for g in gens]
@@ -815,7 +803,7 @@ def _schreier_walk(
             if x_tau is None:
                 reps[tau] = z
                 queue.append(tau)
-                if len(reps) > _WALK_CAP:
+                if cap == INFINITY and len(reps) > _WALK_CAP:
                     raise GroupTooLarge(f"coordinate parts exceed {_WALK_CAP}")
             elif z == x_tau or len(pivots) == n:
                 continue

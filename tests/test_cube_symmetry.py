@@ -528,6 +528,16 @@ def test_walk_refuses_past_its_bound(monkeypatch):
     assert len(_schreier_walk(4, standard_generators(4))[0]) == 24
 
 
+def test_capped_parse_admits_more_parts_than_the_walk_bound(monkeypatch):
+    # a group cap bounds the parts itself: S_6 on the coordinates has 720 parts
+    monkeypatch.setattr(cube_symmetry, "_WALK_CAP", 100)
+    text = "n=6\nx=000000 perm=(1 2)\nx=000000 perm=(1 2 3 4 5 6)\n"
+    K = parse_group_text(text, cap=1000)
+    assert K.order == 720 and min_distance(K) == 0
+    with pytest.raises(GroupTooLarge):
+        parse_group_text(text, cap=719)
+
+
 def test_coset_word_bound_is_checked_before_the_walk(monkeypatch):
     monkeypatch.setattr(cube_symmetry, "_COSET_WORD_CAP", 1 << 3)
     coset = [0b11110 ^ a ^ b ^ c for a in (0, 0b11) for b in (0, 0b110) for c in (0, 0b1100)]
