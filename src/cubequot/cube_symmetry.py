@@ -23,14 +23,14 @@ One element is encoded by its key (y, images): the translation bits and the
 valid ones -- products, inverses, conjugates, and every element of a closure
 -- are unchecked views over their keys (`CubeAutomorphism._from_key`): the
 same immutable classes, with their slots filled and no checks repeated.
-`generate_group` runs its breadth-first search over the keys alone and wraps
-them as views at the end. Operations are pure functions.
+Operations are pure functions.
 
-A group's order, its translations T and its minimum distance come from its
-generators alone: a Schreier walk over its coordinate parts gives pi(K), one
-representative per part and T (`_schreier_walk`), and d_K is the least
-coset minimum weight over pi(K) (`min_distance`). The element list is closed
-only when a caller iterates the group.
+A group's order, its translations T, membership and its minimum distance
+come from its generators alone: a Schreier walk over its coordinate parts
+gives pi(K), one representative per part and T (`_schreier_walk`), and d_K
+is the least coset minimum weight over pi(K) (`min_distance`). The element
+list is closed, by a breadth-first search over keys, only when a caller
+iterates the group.
 
 One coset search finds the transporter {g : g^-1 K g = L}: `conjugating_element`
 takes its first element, and `normalizer` is the transporter from K to itself.
@@ -52,7 +52,7 @@ from .errors import (
     TooLarge,
     Unsupported,
 )
-from .perm_groups import PermutationGroup
+from .perm_groups import PermutationGroup, invert_perm
 
 INFINITY = math.inf
 
@@ -84,13 +84,6 @@ def _move_bits(bits: int, images: Sequence[int]) -> int:
         out |= 1 << images[lsb.bit_length() - 1]
         bits ^= lsb
     return out
-
-
-def _inverse_images(images: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(images)
-    for j, k in enumerate(images):
-        inv[k] = j
-    return tuple(inv)
 
 
 def _cycle_data(images: Sequence[int]) -> tuple[int, list[int]]:
@@ -257,7 +250,7 @@ class Permutation:
     __mul__ = compose
 
     def inverse(self) -> "Permutation":
-        return Permutation(_inverse_images(self.images))
+        return Permutation(invert_perm(self.images))
 
     def is_identity(self) -> bool:
         return all(j == k for j, k in enumerate(self.images))
@@ -272,14 +265,11 @@ class Permutation:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Non-trivial cycles, 1-based, least point first, sorted by least point."""
         out = []
-        seen = [False] * self.n
-        for j in range(self.n):
-            if seen[j] or self.images[j] == j:
-                continue
-            cyc = []
-            k = j
-            while not seen[k]:
-                seen[k] = True
+        for mask in _cycle_data(self.images)[1]:
+            j = (mask & -mask).bit_length() - 1
+            cyc = [j + 1]
+            k = self.images[j]
+            while k != j:
                 cyc.append(k + 1)
                 k = self.images[k]
             out.append(tuple(cyc))
@@ -368,7 +358,7 @@ class CubeAutomorphism:
     __mul__ = compose
 
     def inverse(self) -> "CubeAutomorphism":
-        inv = _inverse_images(self.perm.images)
+        inv = invert_perm(self.perm.images)
         return CubeAutomorphism._from_key(len(inv), _move_bits(self.translation.bits, inv), inv)
 
     def conjugated_by(self, g: "CubeAutomorphism") -> "CubeAutomorphism":
@@ -408,15 +398,13 @@ class CubeAutomorphism:
 class CubeGroup:
     """A finite subgroup of Aut(Q_n): its generators and its order.
 
-    `elements` lists the group breadth-first from the identity, in the order
-    of `generate_group(generators)`. `generate_group` fills it during its own
-    closure; any other group closes it from its generators on first use. A
-    group whose order exceeds its cap raises GroupTooLarge there, before any
-    closure starts. Its coordinate parts and translations come from a Schreier
-    walk over the generators (`_coset_walk`), also on first use.
+    Its coordinate parts and translations, and so membership, come from a
+    Schreier walk over the generators (`_coset_walk`). `elements` closes the
+    group breadth-first from the identity (`_close`) on first use; a group
+    whose order exceeds its cap raises GroupTooLarge there, before any closure.
     """
 
-    __slots__ = ("n", "generators", "order", "cap", "_element_list", "_element_keys", "_walk")
+    __slots__ = ("n", "generators", "order", "cap", "_element_list", "_walk")
 
     def __init__(
         self,
@@ -424,7 +412,6 @@ class CubeGroup:
         generators: Sequence[CubeAutomorphism],
         order: int,
         cap: int = DEFAULT_GROUP_CAP,
-        elements: Optional[tuple[CubeAutomorphism, ...]] = None,
         walk: Optional[tuple[dict[tuple[int, ...], int], dict[int, int]]] = None,
     ):
         _check_dimension(n)
@@ -432,8 +419,7 @@ class CubeGroup:
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "_element_list", elements)
-        object.__setattr__(self, "_element_keys", None)
+        object.__setattr__(self, "_element_list", None)
         object.__setattr__(self, "_walk", walk)
 
     def __setattr__(self, *_):
@@ -441,7 +427,7 @@ class CubeGroup:
 
     @classmethod
     def trivial(cls, n: int) -> "CubeGroup":
-        return cls(n, (), 1, elements=(CubeAutomorphism.identity(n),))
+        return cls(n, (), 1)
 
     @property
     def is_trivial(self) -> bool:
@@ -453,7 +439,7 @@ class CubeGroup:
             if self.order > self.cap:
                 raise GroupTooLarge(f"element list of order {self.order} exceeds cap {self.cap}")
             try:
-                closed = generate_group(self.generators, cap=self.order, n=self.n).elements
+                closed = _close(self.n, self.generators, self.order)
             except GroupTooLarge as exc:
                 raise InvariantViolated(f"generators close beyond the order {self.order}") from exc
             if len(closed) != self.order:
@@ -472,15 +458,11 @@ class CubeGroup:
             object.__setattr__(self, "_walk", walk)
         return self._walk
 
-    def _keys(self) -> frozenset:
-        keys = self._element_keys
-        if keys is None:
-            keys = frozenset(g.key() for g in self.elements)
-            object.__setattr__(self, "_element_keys", keys)
-        return keys
-
     def __contains__(self, g: CubeAutomorphism) -> bool:
-        return g.key() in self._keys()
+        """(y, sigma) is in K iff sigma is in pi(K) and y xor x_sigma is in T."""
+        reps, t_pivots = self._coset_walk()
+        x = reps.get(g.perm.images)
+        return x is not None and _reduce(x ^ g.translation.bits, t_pivots) == 0
 
     def __iter__(self) -> Iterator[CubeAutomorphism]:
         return iter(self.elements)
@@ -492,7 +474,9 @@ class CubeGroup:
         return (g for g in self if not g.is_identity())
 
     def same_group_as(self, other: "CubeGroup") -> bool:
-        return self.n == other.n and self._keys() == other._keys()
+        """Equal orders, and every generator of other lies in this group."""
+        same = self.n == other.n and self.order == other.order
+        return same and all(g in self for g in other.generators)
 
     def __repr__(self) -> str:
         return f"CubeGroup(n={self.n}, order={self.order}, gens={len(self.generators)})"
@@ -508,12 +492,10 @@ def generate_group(
     cap: int = DEFAULT_GROUP_CAP,
     n: Optional[int] = None,
 ) -> CubeGroup:
-    """Closure of gens under composition, breadth-first from the identity.
+    """The group generated by gens, with the order of their Schreier walk.
 
-    Generators are applied in input order, so the element order is
-    deterministic. Raises GroupTooLarge when the closure exceeds cap. The
-    search runs over (translation bits, images) keys; the elements it
-    returns are unchecked views over them.
+    Raises GroupTooLarge as soon as the walk finds an order above cap, before
+    any element list exists; the list is closed when the group is iterated.
     """
     gens = tuple(gens)
     if not gens:
@@ -526,10 +508,22 @@ def generate_group(
     for g in gens:
         if g.n != dim:
             raise DimensionMismatch("generators of mixed dimension")
+    walk = _schreier_walk(dim, gens, cap)
+    return CubeGroup(dim, gens, len(walk[0]) << len(walk[1]), cap, walk=walk)
+
+
+def _close(n: int, gens: Sequence[CubeAutomorphism], cap: int) -> tuple[CubeAutomorphism, ...]:
+    """Every element of <gens>, breadth-first from the identity.
+
+    Generators are applied in input order, so the element order is
+    deterministic. Raises GroupTooLarge when the closure exceeds cap. The
+    search runs over (translation bits, images) keys; the elements it
+    returns are unchecked views over them.
+    """
     # each generator with a flag for a pure translation, whose coordinate part
     # leaves the images as they are, and a memo y -> y^sigma xor y_g
     steps = [(g.translation.bits, g.perm.images, g.perm.is_identity(), {}) for g in gens]
-    ident = (0, tuple(range(dim)))
+    ident = (0, tuple(range(n)))
     keys = [ident]
     seen = {ident}
     qi = 0
@@ -549,9 +543,9 @@ def generate_group(
     # drop the search state before the views exist, and the keys after
     del seen, steps
     view = CubeAutomorphism._from_key
-    elements = tuple([view(dim, y, images) for y, images in keys])
+    elements = tuple([view(n, y, images) for y, images in keys])
     del keys
-    return CubeGroup(dim, gens, len(elements), cap, elements)
+    return elements
 
 
 def act(g: CubeAutomorphism, v: BitVector) -> BitVector:
@@ -807,7 +801,7 @@ def _schreier_walk(
                     raise GroupTooLarge(f"coordinate parts exceed {_WALK_CAP}")
             elif z == x_tau or len(pivots) == n:
                 continue
-            elif not _add_to_span(_move_bits(z ^ x_tau, _inverse_images(tau)), pivots):
+            elif not _add_to_span(_move_bits(z ^ x_tau, invert_perm(tau)), pivots):
                 continue
             if len(reps) << len(pivots) > cap:
                 raise GroupTooLarge(f"group order exceeds cap {cap}")
@@ -887,7 +881,7 @@ class _LiftSolver:
         """Some y with (y, tau) conjugating K's generators into L, or None."""
         n = self.n
         t = tau.images
-        tinv = _inverse_images(t)
+        tinv = invert_perm(t)
         perms = []
         target = 0
         for j, (x, s) in enumerate(self.gens):
@@ -1176,8 +1170,7 @@ def parse_group_text(text: str, cap: int = DEFAULT_GROUP_CAP) -> CubeGroup:
         gens.append(CubeAutomorphism(vec, perm))
     if n is None:
         raise ParseError(1, "empty file: missing 'n=<int>' header")
-    walk = _schreier_walk(n, gens, cap)
-    return CubeGroup(n, gens, len(walk[0]) << len(walk[1]), cap, walk=walk)
+    return generate_group(gens, cap, n=n)
 
 
 def parse_group_file(path, cap: int = DEFAULT_GROUP_CAP) -> CubeGroup:

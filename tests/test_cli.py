@@ -342,9 +342,9 @@ def test_mindist_above_the_default_cap_closes_no_list(tmp_path, capsys, monkeypa
     path.write_text(format_group_text(CubeGroup(8, standard_generators(8), 1)), encoding="utf-8")
 
     def no_closure(*args, **kwargs):
-        raise AssertionError("generate_group called")
+        raise AssertionError("element list closed")
 
-    monkeypatch.setattr(cube_symmetry, "generate_group", no_closure)
+    monkeypatch.setattr(cube_symmetry, "_close", no_closure)
     code, out, _ = run_cli(["mindist", str(path), "--cap-group", "20000000"], capsys)
     assert code == 0
     assert "d_K=0" in out.splitlines() and "order=10321920" in out.splitlines()

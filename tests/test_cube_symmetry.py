@@ -99,14 +99,41 @@ def test_permutation_fixed_points():
     assert p.fixed_points() == (3, 4, 5)
 
 
+def reference_cycles(images):
+    """Non-trivial 1-based cycles by a walk of their own, least point first."""
+    out = []
+    seen = [False] * len(images)
+    for j in range(len(images)):
+        if seen[j] or images[j] == j:
+            continue
+        cyc = []
+        k = j
+        while not seen[k]:
+            seen[k] = True
+            cyc.append(k + 1)
+            k = images[k]
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_cycle_data_matches_cycles(n):
     for images in itertools.permutations(range(n)):
         p = Permutation(images)
+        assert p.cycles() == reference_cycles(images)
         fixed_mask, cycle_masks = _cycle_data(images)
         assert fixed_mask == sum(1 << (i - 1) for i in p.fixed_points())
         assert cycle_masks == [sum(1 << (i - 1) for i in c) for c in p.cycles()]
         assert p.fixed_mask() == fixed_mask and p.cycle_masks() == tuple(cycle_masks)
+
+
+def test_cycles_match_the_reference_walk_up_to_the_largest_dimension():
+    rng = random.Random("cycles")
+    for n in (7, 12, 20, 32):
+        for _ in range(200):
+            images = list(range(n))
+            rng.shuffle(images)
+            assert Permutation(images).cycles() == reference_cycles(images)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +292,7 @@ def test_generate_group_matches_object_closure(n, gens):
     assert K.order == len(expected)
     if K.order > 1:
         assert generate_group(gens, cap=K.order).order == K.order
-        with pytest.raises(GroupTooLarge, match=f"^closure exceeds cap {K.order - 1}$"):
+        with pytest.raises(GroupTooLarge, match=f"^group order exceeds cap {K.order - 1}$"):
             generate_group(gens, cap=K.order - 1)
 
 
@@ -281,7 +308,7 @@ def test_generate_group_builds_no_validated_parts(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counting)
     K = generate_group(gens)
-    assert K.order == 2**6 * math.factorial(6)
+    assert len(K.elements) == K.order == 2**6 * math.factorial(6)
     assert calls == []
     validated(6, 1, range(6))  # the counter sees the public constructors
     assert calls == ["BitVector", "Permutation", "CubeAutomorphism"]
@@ -442,20 +469,21 @@ def scan_min_distance(K):
 
 def check_walk_matches_closure(K):
     """Order, pi(K), representatives, T and d_K from the generators alone
-    equal those read off generate_group's element list."""
+    equal those read off the closed element list."""
     closed = generate_group(K.generators, n=K.n)
+    order = len(closed.elements)
     keys = {g.key() for g in closed}
     reps, t_pivots = _schreier_walk(K.n, K.generators)
-    assert len(reps) << len(t_pivots) == closed.order
+    assert len(reps) << len(t_pivots) == order
     assert set(reps) == {images for _, images in keys}
     assert all((x, images) in keys for images, x in reps.items())
     identity = tuple(range(K.n))
     assert sorted(_span(t_pivots)) == sorted(y for y, images in keys if images == identity)
-    unlisted = CubeGroup(K.n, K.generators, closed.order, cap=1)
+    unlisted = CubeGroup(K.n, K.generators, order, cap=1)
     d = min_distance(unlisted)
     assert d == scan_min_distance(closed)
     assert sorted(_translation_pivots(unlisted).values()) == sorted(t_pivots.values())
-    return closed.order, d
+    return order, d
 
 
 def test_walk_matches_closure_on_the_class_dist_grid():
@@ -493,7 +521,7 @@ def test_walk_matches_closure_on_permutations_over_large_translation_parts(seed)
         gens = [random_element(n, rng) for _ in range(rng.choice((1, 2)))]
         gens += [CubeAutomorphism.translation_by(BitVector(n, rng.randrange(1, 1 << n)))]
         try:
-            order = generate_group(gens, cap=4096).order
+            order = len(generate_group(gens, cap=4096).elements)
         except GroupTooLarge:
             continue
         assert check_walk_matches_closure(CubeGroup(n, gens, order))[0] == order
@@ -512,9 +540,9 @@ def test_parse_walks_the_order_and_closes_no_list(monkeypatch):
     text = format_group_text(CubeGroup(6, standard_generators(6), 1))
 
     def no_closure(*args, **kwargs):
-        raise AssertionError("generate_group called")
+        raise AssertionError("element list closed")
 
-    monkeypatch.setattr(cube_symmetry, "generate_group", no_closure)
+    monkeypatch.setattr(cube_symmetry, "_close", no_closure)
     K = parse_group_text(text)
     assert K.order == 46080 and min_distance(K) == 0
     with pytest.raises(GroupTooLarge):
@@ -697,16 +725,64 @@ def test_deck_group_generators_match_reclosing_greedy(G):
     assert D.order == len(fiber)
 
 
+def check_membership_matches_closure(K, rng):
+    """g in K, read off the walk, equals membership in the closed key set:
+    on every element, on each with its translation moved by e_1, and on 200
+    random automorphisms."""
+    keys = {g.key() for g in K.elements}
+    probes = list(K.elements)
+    probes += [CubeAutomorphism._from_key(K.n, y ^ 1, images) for y, images in keys]
+    probes += [random_element(K.n, rng) for _ in range(200)]
+    for g in probes:
+        assert (g in K) == (g.key() in keys), (K, g)
+    assert any(g not in K for g in probes)
+
+
+def test_membership_matches_the_closed_list_on_the_class_dist_grid(quaternion_group):
+    rng = random.Random("membership")
+    for K in class_dist_grid(0) + [quaternion_group]:
+        check_membership_matches_closure(K, rng)
+
+
+def test_membership_in_a_normalizer_closes_no_list(monkeypatch):
+    n = 10
+    K = generate_group([CubeAutomorphism(BitVector.all_ones(n), Permutation.transposition(n, 1, 2))])
+    N = normalizer(K, "full")
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("element list closed")
+
+    monkeypatch.setattr(cube_symmetry, "_close", no_closure)
+    assert all(g in N for g in N.generators)
+    # (y, id) normalizes K iff y_1 = y_2
+    assert CubeAutomorphism.translation_by(BitVector.from_support(n, (1, 2))) in N
+    assert CubeAutomorphism.translation_by(BitVector.from_support(n, (1,))) not in N
+    assert CubeAutomorphism.identity(n + 1) not in N
+    assert N.same_group_as(CubeGroup(n, N.generators[::-1], N.order))
+    assert not N.same_group_as(normalizer(K, "even"))
+
+
+def test_same_group_as_tells_equal_orders_apart():
+    a = CubeAutomorphism.translation_by(BitVector.from_support(6, (1, 2)))
+    b = CubeAutomorphism.translation_by(BitVector.from_support(6, (3, 4)))
+    K = generate_group([a, b])
+    assert K.same_group_as(generate_group([a.compose(b), b]))
+    assert not K.same_group_as(generate_group([a]))
+    assert not K.same_group_as(
+        generate_group([a, CubeAutomorphism.translation_by(BitVector.from_support(6, (5, 6)))])
+    )
+    assert not K.same_group_as(generate_group([a, CubeAutomorphism.translation_by(BitVector(6, 1))]))
+    assert not CubeGroup.trivial(5).same_group_as(CubeGroup.trivial(6))
+
+
 # ---------------------------------------------------------------------------
 # Normalizer tiers
 # ---------------------------------------------------------------------------
 
 
 def closes_like_generate_group(N):
-    """The lazy element list of N is generate_group's closure, key for key."""
-    return [g.key() for g in N.elements] == [
-        g.key() for g in generate_group(N.generators, n=N.n).elements
-    ]
+    """The lazy element list of N is the object closure of its generators, key for key."""
+    return [g.key() for g in N.elements] == closure_oracle(N.generators, N.n)
 
 
 def test_normalizer_of_trivial_group_is_ambient():
@@ -813,9 +889,9 @@ def test_element_list_above_cap_raises_before_any_closure(monkeypatch):
     assert N.order > DEFAULT_GROUP_CAP == N.cap
 
     def no_closure(*args, **kwargs):
-        raise AssertionError("generate_group called")
+        raise AssertionError("element list closed")
 
-    monkeypatch.setattr(cube_symmetry, "generate_group", no_closure)
+    monkeypatch.setattr(cube_symmetry, "_close", no_closure)
     with pytest.raises(GroupTooLarge):
         N.elements
     with pytest.raises(GroupTooLarge):

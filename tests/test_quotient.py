@@ -177,7 +177,7 @@ def test_quotient_of_unlisted_normalizer_matches_closed_group(order, seed):
     with pytest.raises(GroupTooLarge):
         N.elements
     closed = generate_group(N.generators)
-    assert closed.order == N.order
+    assert len(closed.elements) == N.order
     assert quotient_data(build_quotient(N)) == quotient_data(build_quotient(closed))
     # distance data from the Schreier walk, against the closed list's scan
     assert min_distance(N) == min_distance(closed)
@@ -191,9 +191,9 @@ def test_distance_data_of_the_folded_8_normalizer_need_no_closure(monkeypatch):
     assert N.order == (1 << 8) * 40320
 
     def no_closure(*args, **kwargs):
-        raise AssertionError("generate_group called")
+        raise AssertionError("element list closed")
 
-    monkeypatch.setattr(cube_symmetry, "generate_group", no_closure)
+    monkeypatch.setattr(cube_symmetry, "_close", no_closure)
     assert min_distance(N) == 0
     params = quotient_params(build_quotient(N), 2)
     assert [p.level for p in params] == [0, 1, 2] and params[0].valency == 0

@@ -116,3 +116,29 @@ def test_import_cubequot_loads_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def names_by_scope(tree):
+    """(qualified function or class, name) for every name a module reads."""
+    stack = [(tree, "")]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.append((child, f"{scope}.{child.name}".lstrip(".")))
+                continue
+            if isinstance(child, ast.Name):
+                yield scope, child.id
+            elif isinstance(child, ast.Attribute):
+                yield scope, child.attr
+            stack.append((child, scope))
+
+
+def test_element_lists_close_only_when_a_group_is_iterated():
+    # a group is built from its generators' Schreier walk; the key closure has
+    # one caller, so neither generate_group nor parse_group_text closes a list
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [(path.name, scope) for scope, name in names_by_scope(tree) if name == "_close"]
+    assert found == [("cube_symmetry.py", "CubeGroup.elements")]
