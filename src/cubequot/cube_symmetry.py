@@ -20,17 +20,18 @@ One element is encoded by its key (y, images): the translation bits and the
 0-based coordinate images. The public constructors (`BitVector`,
 `Permutation`, `CubeAutomorphism`, `Permutation.from_cycles`,
 `parse_group_text`) validate their input. Elements the library derives from
-valid ones -- products, inverses, conjugates, and every element of a closure
--- are unchecked views over their keys (`CubeAutomorphism._from_key`): the
-same immutable classes, with their slots filled and no checks repeated.
+valid ones -- products, inverses, conjugates, and every element of a
+group's list -- are unchecked views over their keys
+(`CubeAutomorphism._from_key`): the same immutable classes, with their slots
+filled and no checks repeated.
 Operations are pure functions.
 
 A group's order, its translations T, membership and its minimum distance
 come from its generators alone: a Schreier walk over its coordinate parts
 gives pi(K), one representative per part and T (`_schreier_walk`), and d_K
 is the least coset minimum weight over pi(K) (`min_distance`). The element
-list is closed, by a breadth-first search over keys, only when a caller
-iterates the group.
+list, built only when a caller iterates the group, is the walk's cosets:
+(x_sigma xor t, sigma) for each part sigma and each t in T.
 
 One coset search finds the transporter {g : g^-1 K g = L}: `conjugating_element`
 takes its first element, and `normalizer` is the transporter from K to itself.
@@ -64,7 +65,7 @@ MAX_DIMENSION = 32
 _COSET_SEARCH_CAP = 10**8
 
 # The Schreier walk keeps at most this many coordinate parts, one key each:
-# no more keys than the largest closure the default cap admits.
+# no more keys than the largest element list the default cap admits.
 _WALK_CAP = DEFAULT_GROUP_CAP
 
 # A coset minimum weight visits at most this many words, one at a time.
@@ -399,9 +400,10 @@ class CubeGroup:
     """A finite subgroup of Aut(Q_n): its generators and its order.
 
     Its coordinate parts and translations, and so membership, come from a
-    Schreier walk over the generators (`_coset_walk`). `elements` closes the
-    group breadth-first from the identity (`_close`) on first use; a group
-    whose order exceeds its cap raises GroupTooLarge there, before any closure.
+    Schreier walk over the generators (`_coset_walk`). `elements` lists the
+    walk's cosets on first use: for each part sigma in walk order, identity
+    first, the elements (x_sigma xor t, sigma), t in T, 0 first. A group whose
+    order exceeds its cap raises GroupTooLarge there, before any list exists.
     """
 
     __slots__ = ("n", "generators", "order", "cap", "_element_list", "_walk")
@@ -438,13 +440,13 @@ class CubeGroup:
         if self._element_list is None:
             if self.order > self.cap:
                 raise GroupTooLarge(f"element list of order {self.order} exceeds cap {self.cap}")
-            try:
-                closed = _close(self.n, self.generators, self.order)
-            except GroupTooLarge as exc:
-                raise InvariantViolated(f"generators close beyond the order {self.order}") from exc
-            if len(closed) != self.order:
-                raise InvariantViolated(f"{len(closed)} elements close, the order is {self.order}")
-            object.__setattr__(self, "_element_list", closed)
+            reps, t_pivots = self._coset_walk()
+            translations = _span(t_pivots)
+            view = CubeAutomorphism._from_key
+            listed = tuple(
+                [view(self.n, x ^ t, images) for images, x in reps.items() for t in translations]
+            )
+            object.__setattr__(self, "_element_list", listed)
         return self._element_list
 
     def _coset_walk(self) -> tuple[dict[tuple[int, ...], int], dict[int, int]]:
@@ -495,7 +497,7 @@ def generate_group(
     """The group generated by gens, with the order of their Schreier walk.
 
     Raises GroupTooLarge as soon as the walk finds an order above cap, before
-    any element list exists; the list is closed when the group is iterated.
+    any element list exists; the list is built when the group is iterated.
     """
     gens = tuple(gens)
     if not gens:
@@ -510,42 +512,6 @@ def generate_group(
             raise DimensionMismatch("generators of mixed dimension")
     walk = _schreier_walk(dim, gens, cap)
     return CubeGroup(dim, gens, len(walk[0]) << len(walk[1]), cap, walk=walk)
-
-
-def _close(n: int, gens: Sequence[CubeAutomorphism], cap: int) -> tuple[CubeAutomorphism, ...]:
-    """Every element of <gens>, breadth-first from the identity.
-
-    Generators are applied in input order, so the element order is
-    deterministic. Raises GroupTooLarge when the closure exceeds cap. The
-    search runs over (translation bits, images) keys; the elements it
-    returns are unchecked views over them.
-    """
-    # each generator with a flag for a pure translation, whose coordinate part
-    # leaves the images as they are, and a memo y -> y^sigma xor y_g
-    steps = [(g.translation.bits, g.perm.images, g.perm.is_identity(), {}) for g in gens]
-    ident = (0, tuple(range(n)))
-    keys = [ident]
-    seen = {ident}
-    qi = 0
-    while qi < len(keys):
-        y, images = keys[qi]
-        qi += 1
-        for g_y, g_images, g_is_translation, memo in steps:
-            t = memo.get(y)
-            if t is None:
-                t = memo[y] = _move_bits(y, g_images) ^ g_y
-            k = (t, images if g_is_translation else tuple([g_images[j] for j in images]))
-            if k not in seen:
-                if len(keys) >= cap:
-                    raise GroupTooLarge(f"closure exceeds cap {cap}")
-                seen.add(k)
-                keys.append(k)
-    # drop the search state before the views exist, and the keys after
-    del seen, steps
-    view = CubeAutomorphism._from_key
-    elements = tuple([view(n, y, images) for y, images in keys])
-    del keys
-    return elements
 
 
 def act(g: CubeAutomorphism, v: BitVector) -> BitVector:
@@ -598,7 +564,7 @@ def min_distance(K: CubeGroup) -> float | int:
     """Minimum distance of K; INFINITY for the trivial group.
 
     Taken as coset minima over K's Schreier walk (`_coset_min_distance`), so
-    no element list is closed.
+    no element list is built.
     """
     if K.is_trivial:
         return INFINITY
@@ -1042,7 +1008,7 @@ def normalizer(K: CubeGroup, ambient: str = "full", cap: int = DEFAULT_GROUP_CAP
     kernel of translation parity on N, one index-2 step from N's generators
     (`_even_part`). Each route checks the order of the Schreier-Sims chain
     against its count and raises InvariantViolated on a mismatch. The result
-    is generators and order; `cap` bounds its element list, which is closed
+    is generators and order; `cap` bounds its element list, which is built
     on first use.
     """
     if ambient not in ("full", "even"):

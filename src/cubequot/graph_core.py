@@ -199,7 +199,12 @@ class SimpleGraph:
         return SimpleGraph._unchecked(len(verts), adj, labels)
 
     def relabeled(self, perm: Sequence[int]) -> "SimpleGraph":
-        """Image under a vertex permutation: new index of v is perm[v]."""
+        """Image under a vertex permutation: new index of v is perm[v].
+
+        ValueError when perm is not a bijection of 0..n-1.
+        """
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"perm is not a bijection of 0..{self.n - 1}")
         adj = [0] * self.n
         for v in range(self.n):
             mask = 0
@@ -211,7 +216,7 @@ class SimpleGraph:
             labels = [""] * self.n
             for v in range(self.n):
                 labels[perm[v]] = self.labels[v]
-        return SimpleGraph(self.n, adj, labels)
+        return SimpleGraph._unchecked(self.n, adj, labels)
 
     def bfs_level_masks(self, start: int, max_level: Optional[int] = None) -> list[int]:
         """Masks of the distance spheres around start, index = distance.
@@ -528,41 +533,31 @@ def distance2_graph(G: SimpleGraph) -> SimpleGraph:
 def bipartite_parts(G: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Deterministic 2-coloring of a connected graph; part 0 holds vertex 0.
 
-    Raises NotBipartite with an odd closed walk as witness.
+    The parts are the even and odd levels of one BFS from vertex 0. Raises
+    NotBipartite with an odd closed walk as witness: an edge u-w inside the
+    first level d that has one, with a path from each end down to vertex 0,
+    2d + 1 edges in all.
     """
-    if not G.is_connected():
+    levels = G.bfs_level_masks(0)
+    if sum(m.bit_count() for m in levels) != G.n:
         raise NotConnected("bipartite_parts needs a connected graph")
-    color = [-1] * G.n
-    parent = [-1] * G.n
-    color[0] = 0
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for w in bits_of(G.adj[u]):
-            if color[w] == -1:
-                color[w] = 1 - color[u]
-                parent[w] = u
-                queue.append(w)
-            elif color[w] == color[u]:
-                walk_u = []
-                x = u
-                while x != -1:
-                    walk_u.append(x)
-                    x = parent[x]
-                walk_w = []
-                x = w
-                while x != -1:
-                    walk_w.append(x)
-                    x = parent[x]
-                witness = walk_u[::-1] + walk_w
+    adj = G.adj
+    parts = [0, 0]
+    for d, level in enumerate(levels):
+        for u in bits_of(level):
+            inside = adj[u] & level
+            if inside:
+                w = (inside & -inside).bit_length() - 1
+                walk_u, walk_w = [u], [w]
+                for below in reversed(levels[:d]):
+                    for walk in (walk_u, walk_w):
+                        step = adj[walk[-1]] & below
+                        walk.append((step & -step).bit_length() - 1)
                 raise NotBipartite(
-                    f"edge {u}-{w} joins vertices of equal color", odd_walk=witness
+                    f"edge {u}-{w} joins vertices of equal color", odd_walk=walk_u[::-1] + walk_w
                 )
-    part0 = tuple(v for v in range(G.n) if color[v] == 0)
-    part1 = tuple(v for v in range(G.n) if color[v] == 1)
-    return part0, part1
+        parts[d & 1] |= level
+    return tuple(bits_of(parts[0])), tuple(bits_of(parts[1]))
 
 
 def halved_graphs(G: SimpleGraph) -> tuple[SimpleGraph, SimpleGraph]:

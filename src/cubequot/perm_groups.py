@@ -12,10 +12,8 @@ searches all read their orbits from it.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
 
 def identity_perm(degree: int) -> tuple[int, ...]:
@@ -60,7 +58,7 @@ def orbit_minima(tables):
 
 
 class PermutationGroup:
-    """Group generated incrementally; membership and order via BSGS.
+    """Group generated incrementally; its order via BSGS.
 
     A strong generator lives at the deepest level whose base prefix it
     fixes pointwise; the stabilizer H^(i) is generated by the strong
@@ -88,19 +86,6 @@ class PermutationGroup:
 
     def order(self) -> int:
         return math.prod(map(len, self._transversals))
-
-    def __contains__(self, p: Sequence[int]) -> bool:
-        residue, _ = self._sift_from(tuple(p), 0)
-        return residue is None
-
-    def elements(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-        """Enumerate all elements as transversal products (cross-check tool)."""
-        if limit is not None and self.order() > limit:
-            raise ValueError(f"group order {self.order()} exceeds limit {limit}")
-
-        levels = [t.values() for t in reversed(self._transversals)]
-        for ts in itertools.product(*levels):
-            yield functools.reduce(compose_perms, ts, self._identity)
 
     # -- construction -------------------------------------------------
 
@@ -156,10 +141,3 @@ class PermutationGroup:
         self._gens[level].append(g)
         for i in range(level + 1):
             self._pending[i].extend((a, g) for a in self._transversals[i])
-
-
-def group_from_generators(degree: int, gens: Sequence[Sequence[int]]) -> PermutationGroup:
-    group = PermutationGroup(degree)
-    for g in gens:
-        group.add_generator(g)
-    return group

@@ -3,8 +3,8 @@
 Vertices of Q_n are the integers 0..2^n-1. The representative of an orbit
 is its numerically smallest vertex. It is found for every vertex at once
 from K's generators alone: `perm_groups.orbit_minima` runs on the image
-tables v -> g(v) of the generators, so building a quotient never closes
-K's element list, and neither does `translation_roots`: it reads the
+tables v -> g(v) of the generators, so building a quotient never lists
+K's elements, and neither does `translation_roots`: it reads the
 translations in K off the group's Schreier walk. Orbit ids are sorted by
 representative, and vertex labels of the quotient graph are the
 representative bit strings (coordinate 1 leftmost).

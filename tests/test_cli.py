@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cubequot
-from cubequot import CubeGroup, cube_symmetry, format_group_text
+from cubequot import CubeGroup, format_group_text
 from cubequot.cli import main
 from cubequot.cube_symmetry import standard_generators
 
@@ -277,6 +277,26 @@ def test_verify_locally_triangular_claims_pinned(claim, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
 
+@pytest.mark.parametrize(
+    "claim, seed, digest",
+    [
+        ("lem-cycle", 0, "fd635b7212c5c8bb"),
+        ("lem-cycle", 1, "fd635b7212c5c8bb"),
+        ("lem-cycle", 2, "ca344298306fab22"),
+        *[("ex-exp-halved", seed, "3b6e44472e48b3ad") for seed in range(3)],
+        *[("ex-k2", seed, "66746c2f6b79b87e") for seed in range(3)],
+        *[("lem-even", seed, "8dcd10296995502f") for seed in range(3)],
+    ],
+)
+def test_verify_element_list_and_bipartition_claims_pinned(claim, seed, digest, capsys):
+    # sha256 recorded while element lists came from a breadth-first key
+    # closure and bipartite_parts ran its own BFS after a connectivity check
+    args = ["verify", "--claims", claim, "--seed", str(seed), "--format", "json"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+
+
 def test_verify_single_claim(capsys):
     code, out, _ = run_cli(["verify", "--claims", "ex-exp-halved"], capsys)
     assert code == 0
@@ -336,15 +356,15 @@ def test_group_cap_enforced(tmp_path, capsys):
     assert code == 1 and err.startswith("error:GROUP_TOO_LARGE:")
 
 
-def test_mindist_above_the_default_cap_closes_no_list(tmp_path, capsys, monkeypatch):
+def test_mindist_above_the_default_cap_lists_no_elements(tmp_path, capsys, monkeypatch):
     # Aut(Q_8), order 2^8 8! = 10,321,920: order and d_K come from the generators alone
     path = tmp_path / "aut8.grp"
     path.write_text(format_group_text(CubeGroup(8, standard_generators(8), 1)), encoding="utf-8")
 
-    def no_closure(*args, **kwargs):
-        raise AssertionError("element list closed")
+    def no_list(*args, **kwargs):
+        raise AssertionError("element list built")
 
-    monkeypatch.setattr(cube_symmetry, "_close", no_closure)
+    monkeypatch.setattr(CubeGroup, "elements", property(no_list))
     code, out, _ = run_cli(["mindist", str(path), "--cap-group", "20000000"], capsys)
     assert code == 0
     assert "d_K=0" in out.splitlines() and "order=10321920" in out.splitlines()

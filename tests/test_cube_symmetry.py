@@ -33,6 +33,7 @@ from cubequot.cube_symmetry import (
     _even_part,
     _least_weight,
     _monomial_perm,
+    _move_bits,
     _schreier_walk,
     _span,
     _translation_pivots,
@@ -265,6 +266,57 @@ def closure_oracle(gens, n):
     return [g.key() for g in elements]
 
 
+def key_closure(n, gens, cap):
+    """Every element of <gens>, breadth-first from the identity.
+
+    Generators are applied in input order, so the element order is
+    deterministic. Raises GroupTooLarge when the closure exceeds cap. The
+    search runs over (translation bits, images) keys; the elements it
+    returns are unchecked views over them.
+    """
+    # each generator with a flag for a pure translation, whose coordinate part
+    # leaves the images as they are, and a memo y -> y^sigma xor y_g
+    steps = [(g.translation.bits, g.perm.images, g.perm.is_identity(), {}) for g in gens]
+    ident = (0, tuple(range(n)))
+    keys = [ident]
+    seen = {ident}
+    qi = 0
+    while qi < len(keys):
+        y, images = keys[qi]
+        qi += 1
+        for g_y, g_images, g_is_translation, memo in steps:
+            t = memo.get(y)
+            if t is None:
+                t = memo[y] = _move_bits(y, g_images) ^ g_y
+            k = (t, images if g_is_translation else tuple([g_images[j] for j in images]))
+            if k not in seen:
+                if len(keys) >= cap:
+                    raise GroupTooLarge(f"closure exceeds cap {cap}")
+                seen.add(k)
+                keys.append(k)
+    # drop the search state before the views exist, and the keys after
+    del seen, steps
+    view = CubeAutomorphism._from_key
+    elements = tuple([view(n, y, images) for y, images in keys])
+    del keys
+    return elements
+
+
+def closed_elements(K):
+    """The elements of K by the key closure of its generators: the oracle for
+    everything read off K's Schreier walk, its element list included."""
+    return key_closure(K.n, K.generators, DEFAULT_GROUP_CAP)
+
+
+def check_lists_the_closure(K, closed_keys):
+    """K's element list holds the closed keys: the same set, each once, and
+    the identity first."""
+    listed = [g.key() for g in K.elements]
+    assert len(listed) == len(closed_keys) == K.order
+    assert set(listed) == set(closed_keys)
+    assert listed[0] == (0, tuple(range(K.n)))
+
+
 def closure_cases():
     cases = []
     for n in range(1, 7):
@@ -288,9 +340,11 @@ def closure_cases():
 def test_generate_group_matches_object_closure(n, gens):
     K = generate_group(gens, n=n)
     expected = closure_oracle(gens, n)
-    assert [g.key() for g in K.elements] == expected
-    assert K.order == len(expected)
+    assert [g.key() for g in key_closure(n, gens, len(expected))] == expected
+    check_lists_the_closure(K, expected)
     if K.order > 1:
+        with pytest.raises(GroupTooLarge, match=f"^closure exceeds cap {K.order - 1}$"):
+            key_closure(n, gens, K.order - 1)
         assert generate_group(gens, cap=K.order).order == K.order
         with pytest.raises(GroupTooLarge, match=f"^group order exceeds cap {K.order - 1}$"):
             generate_group(gens, cap=K.order - 1)
@@ -343,7 +397,7 @@ def test_derived_views_match_validated_elements(n, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(3, 8), st.integers(0, 10**9))
-def test_closure_views_are_valid_elements(n, seed):
+def test_listed_views_are_valid_elements(n, seed):
     rng = random.Random(seed)
     K = random_subgroup(n, rng.choice((2, 4, 8)), rng)
     for g in K:
@@ -442,7 +496,7 @@ def test_min_distance_matches_full_scan():
     values = []
     for K in groups:
         values.append(min_distance(K))
-        assert values[-1] == min(element_min_distance(g) for g in K.non_identity())
+        assert values[-1] == scan_min_distance(closed_elements(K))
     assert 0 in values and any(v > 0 for v in values)
 
 
@@ -453,25 +507,23 @@ def test_min_distance_of_linear_code_is_min_weight():
         for _ in range(20):
             vecs = [BitVector(n, rng.randrange(1, 1 << n)) for _ in range(3)]
             K = generate_group([CubeAutomorphism.translation_by(v) for v in vecs])
-            weights = [
-                g.translation.weight for g in K.non_identity()
-            ]
+            weights = [g.translation.weight for g in closed_elements(K) if not g.is_identity()]
             assert min_distance(K) == min(weights)
 
 
-# Oracles for the Schreier walk and the coset minima: the closed element list.
+# Oracles for the Schreier walk and the coset minima: the key closure.
 
 
-def scan_min_distance(K):
+def scan_min_distance(elements):
     """d_K by the element scan: the closed form of every non-identity element."""
-    return min((element_min_distance(g) for g in K.non_identity()), default=INFINITY)
+    return min((element_min_distance(g) for g in elements if not g.is_identity()), default=INFINITY)
 
 
 def check_walk_matches_closure(K):
-    """Order, pi(K), representatives, T and d_K from the generators alone
-    equal those read off the closed element list."""
-    closed = generate_group(K.generators, n=K.n)
-    order = len(closed.elements)
+    """Order, pi(K), representatives, T, d_K and the element list from the
+    generators alone equal those read off the key closure."""
+    closed = closed_elements(K)
+    order = len(closed)
     keys = {g.key() for g in closed}
     reps, t_pivots = _schreier_walk(K.n, K.generators)
     assert len(reps) << len(t_pivots) == order
@@ -483,6 +535,7 @@ def check_walk_matches_closure(K):
     d = min_distance(unlisted)
     assert d == scan_min_distance(closed)
     assert sorted(_translation_pivots(unlisted).values()) == sorted(t_pivots.values())
+    check_lists_the_closure(CubeGroup(K.n, K.generators, order), keys)
     return order, d
 
 
@@ -521,7 +574,7 @@ def test_walk_matches_closure_on_permutations_over_large_translation_parts(seed)
         gens = [random_element(n, rng) for _ in range(rng.choice((1, 2)))]
         gens += [CubeAutomorphism.translation_by(BitVector(n, rng.randrange(1, 1 << n)))]
         try:
-            order = len(generate_group(gens, cap=4096).elements)
+            order = len(key_closure(n, gens, 4096))
         except GroupTooLarge:
             continue
         assert check_walk_matches_closure(CubeGroup(n, gens, order))[0] == order
@@ -536,13 +589,13 @@ def test_walk_matches_closure_on_the_cube_automorphism_group(n):
     )
 
 
-def test_parse_walks_the_order_and_closes_no_list(monkeypatch):
+def test_parse_walks_the_order_and_lists_no_elements(monkeypatch):
     text = format_group_text(CubeGroup(6, standard_generators(6), 1))
 
-    def no_closure(*args, **kwargs):
-        raise AssertionError("element list closed")
+    def no_list(*args, **kwargs):
+        raise AssertionError("element list built")
 
-    monkeypatch.setattr(cube_symmetry, "_close", no_closure)
+    monkeypatch.setattr(CubeGroup, "elements", property(no_list))
     K = parse_group_text(text)
     assert K.order == 46080 and min_distance(K) == 0
     with pytest.raises(GroupTooLarge):
@@ -661,9 +714,9 @@ def greedy_oracle_groups():
 @pytest.mark.parametrize("K", greedy_oracle_groups(), ids=repr)
 def test_intersect_even_elements_are_the_even_filter(K):
     L = intersect_even(K)
-    even = {g.key() for g in K if g.is_even()}
+    even = {g.key() for g in closed_elements(K) if g.is_even()}
     assert L.order == len(even)
-    assert {g.key() for g in L} == even
+    assert {g.key() for g in closed_elements(L)} == even
     assert all(g.is_even() for g in L.generators)
 
 
@@ -729,8 +782,8 @@ def check_membership_matches_closure(K, rng):
     """g in K, read off the walk, equals membership in the closed key set:
     on every element, on each with its translation moved by e_1, and on 200
     random automorphisms."""
-    keys = {g.key() for g in K.elements}
-    probes = list(K.elements)
+    probes = list(closed_elements(K))
+    keys = {g.key() for g in probes}
     probes += [CubeAutomorphism._from_key(K.n, y ^ 1, images) for y, images in keys]
     probes += [random_element(K.n, rng) for _ in range(200)]
     for g in probes:
@@ -744,15 +797,15 @@ def test_membership_matches_the_closed_list_on_the_class_dist_grid(quaternion_gr
         check_membership_matches_closure(K, rng)
 
 
-def test_membership_in_a_normalizer_closes_no_list(monkeypatch):
+def test_membership_in_a_normalizer_lists_no_elements(monkeypatch):
     n = 10
     K = generate_group([CubeAutomorphism(BitVector.all_ones(n), Permutation.transposition(n, 1, 2))])
     N = normalizer(K, "full")
 
-    def no_closure(*args, **kwargs):
-        raise AssertionError("element list closed")
+    def no_list(*args, **kwargs):
+        raise AssertionError("element list built")
 
-    monkeypatch.setattr(cube_symmetry, "_close", no_closure)
+    monkeypatch.setattr(CubeGroup, "elements", property(no_list))
     assert all(g in N for g in N.generators)
     # (y, id) normalizes K iff y_1 = y_2
     assert CubeAutomorphism.translation_by(BitVector.from_support(n, (1, 2))) in N
@@ -780,20 +833,15 @@ def test_same_group_as_tells_equal_orders_apart():
 # ---------------------------------------------------------------------------
 
 
-def closes_like_generate_group(N):
-    """The lazy element list of N is the object closure of its generators, key for key."""
-    return [g.key() for g in N.elements] == closure_oracle(N.generators, N.n)
-
-
 def test_normalizer_of_trivial_group_is_ambient():
     N = normalizer(CubeGroup.trivial(4), "full")
     assert N.order == (1 << 4) * math.factorial(4)
     assert len(N.elements) == N.order
-    assert closes_like_generate_group(N)
+    check_lists_the_closure(N, closure_oracle(N.generators, N.n))
     Ne = normalizer(CubeGroup.trivial(4), "even")
     assert Ne.order == (1 << 3) * math.factorial(4)
     assert all(g.is_even() for g in Ne)
-    assert closes_like_generate_group(Ne)
+    check_lists_the_closure(Ne, closure_oracle(Ne.generators, Ne.n))
 
 
 def test_normalizer_central_all_ones(folded8):
@@ -883,15 +931,15 @@ def test_normalizer_order2_works_above_brute_bound():
         N.elements  # order above the cap
 
 
-def test_element_list_above_cap_raises_before_any_closure(monkeypatch):
+def test_element_list_above_cap_raises_before_any_walk(monkeypatch):
     K = generate_group([CubeAutomorphism.translation_by(BitVector.all_ones(12))])
     N = normalizer(K, "full")
     assert N.order > DEFAULT_GROUP_CAP == N.cap
 
-    def no_closure(*args, **kwargs):
-        raise AssertionError("element list closed")
+    def no_walk(*args, **kwargs):
+        raise AssertionError("Schreier walk run")
 
-    monkeypatch.setattr(cube_symmetry, "_close", no_closure)
+    monkeypatch.setattr(CubeGroup, "_coset_walk", no_walk)
     with pytest.raises(GroupTooLarge):
         N.elements
     with pytest.raises(GroupTooLarge):
@@ -902,9 +950,9 @@ def test_element_list_that_disagrees_with_the_order_is_an_invariant_violation():
     g = CubeAutomorphism.translation_by(BitVector.all_ones(5))
     h = CubeAutomorphism.translation_by(BitVector(5, 1))
     with pytest.raises(InvariantViolated):
-        CubeGroup(5, [g, h], 2).elements  # closes to 4 elements
+        CubeGroup(5, [g, h], 2).elements  # walks to order 4
     with pytest.raises(InvariantViolated):
-        CubeGroup(5, [g], 4).elements  # closes to 2 elements
+        CubeGroup(5, [g], 4).elements  # walks to order 2
     with pytest.raises(InvariantViolated):
         min_distance(CubeGroup(5, [g, h], 2))  # the Schreier walk finds order 4
 
@@ -1004,9 +1052,9 @@ def check_normalizer(K, counts):
             assert all(k.conjugated_by(g) in K for k in K.generators)
             assert ambient == "full" or g.is_even()
         if expected <= 4096:
-            # the element list, closed on first use, lists every element of N once
+            # the element list, built on first use, lists every element of N once
             N = normalizer(K, ambient)
-            assert closes_like_generate_group(N)
+            check_lists_the_closure(N, closure_oracle(N.generators, N.n))
             assert len({g.key() for g in N}) == expected
             assert all(k.conjugated_by(g) in K for g in N for k in K.generators)
 

@@ -59,6 +59,27 @@ def test_graph_construction_rejects_loops_and_asymmetry():
         SimpleGraph(2, [0b10, 0b00])
 
 
+@pytest.mark.parametrize("perm", [[3, 2, 1], [0, 1, 2, 5], [0, 0, 1, 2]])
+def test_relabeled_rejects_a_perm_that_is_not_a_bijection(perm):
+    g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="not a bijection"):
+        g.relabeled(perm)
+
+
+def test_relabeled_equals_the_checked_construction():
+    rng = random.Random("relabeled")
+    for n in (1, 2, 7, 30):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        labels = [f"v{v}" for v in range(n)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = SimpleGraph.from_edges(n, edges, labels)
+        moved = [(perm[u], perm[v]) for u, v in edges]
+        expected = SimpleGraph.from_edges(n, moved, [labels[perm.index(v)] for v in range(n)])
+        h = g.relabeled(perm)
+        assert h == expected and h.labels == expected.labels
+
+
 def test_edge_list_is_lexicographic():
     g = SimpleGraph.from_edges(4, [(3, 1), (2, 0), (1, 0)])
     assert g.edges() == [(0, 1), (0, 2), (1, 3)]
@@ -295,6 +316,48 @@ def test_bipartite_parts_odd_cycle_witness():
     walk = err.value.odd_walk
     assert walk is not None and walk[0] == walk[-1] == 0
     assert (len(walk) - 1) % 2 == 1  # odd closed walk
+
+
+def bipartite_oracle(G):
+    """networkx: NotConnected, or the first BFS level from 0 with an edge
+    inside it, or the parts by the parity of the distance from 0."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(G.n))
+    graph.add_edges_from(G.edges())
+    if not nx.is_connected(graph):
+        return "not connected"
+    dist = nx.single_source_shortest_path_length(graph, 0)
+    odd = [dist[u] for u, v in graph.edges() if dist[u] == dist[v]]
+    if odd:
+        return ("not bipartite", min(odd))
+    return tuple(tuple(v for v in range(G.n) if dist[v] % 2 == p) for p in (0, 1))
+
+
+def test_bipartite_parts_match_networkx_on_random_graphs():
+    rng = random.Random("bipartite")
+    kinds = set()
+    for _ in range(400):
+        n = rng.randrange(1, 30)
+        p = rng.choice((0.05, 0.1, 0.2, 0.5))
+        if rng.randrange(2):  # a bipartite graph on a random split
+            a = rng.randrange(1, n + 1)
+            edges = [(u, v) for u in range(a) for v in range(a, n) if rng.random() < max(p, 0.3)]
+        else:
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        G = SimpleGraph.from_edges(n, edges)
+        try:
+            got = bipartite_parts(G)
+        except NotConnected:
+            got = "not connected"
+        except NotBipartite as err:
+            walk = err.odd_walk
+            assert walk[0] == walk[-1] == 0
+            assert all(G.has_edge(u, v) for u, v in zip(walk, walk[1:]))
+            # an edge inside level d and a path from each end down to 0: 2d + 2 vertices
+            got = ("not bipartite", (len(walk) - 2) // 2)
+        assert got == bipartite_oracle(G)
+        kinds.add(got if got == "not connected" else got[0] if got[0] == "not bipartite" else "parts")
+    assert kinds == {"not connected", "not bipartite", "parts"}
 
 
 def test_bipartite_parts_needs_connected():

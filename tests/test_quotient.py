@@ -22,7 +22,6 @@ from cubequot import (
     parse_group_text,
     sphere,
 )
-from cubequot import cube_symmetry
 from cubequot.cube_symmetry import _add_to_span, _translation_pivots, standard_generators
 from cubequot.errors import DimensionMismatch, DimensionTooLarge, GroupTooLarge, TooLarge
 from cubequot.graph_core import UNDEFINED, VACUOUS, local_params
@@ -30,6 +29,7 @@ from cubequot.quotient import normalizing_translations, quotient_params, transla
 from cubequot.verify import random_subgroup, sample_subgroups
 
 from conftest import QUATERNION_FILE, cube_graph, folded_cube_group
+from test_cube_symmetry import closed_elements, scan_min_distance
 
 
 def weight_vectors(n, w):
@@ -97,14 +97,16 @@ def test_natural_map_constant_on_orbits(quaternion_group):
 
 
 def sweep_oracle(K):
-    """The ascending pure-Python orbit sweep: reps, orbit ids, adjacency, labels."""
+    """The ascending pure-Python orbit sweep over the key closure of K's
+    generators: reps, orbit ids, adjacency, labels."""
     n = K.n
+    elements = closed_elements(K)
     orbit_index = [-1] * (1 << n)
     reps = []
     for v in range(1 << n):
         if orbit_index[v] != -1:
             continue
-        for g in K.elements:
+        for g in elements:
             orbit_index[g.act_bits(v)] = len(reps)
         reps.append(v)
     adj = [0] * len(reps)
@@ -177,23 +179,24 @@ def test_quotient_of_unlisted_normalizer_matches_closed_group(order, seed):
     with pytest.raises(GroupTooLarge):
         N.elements
     closed = generate_group(N.generators)
-    assert len(closed.elements) == N.order
+    elements = closed_elements(N)
+    assert len(elements) == N.order
     assert quotient_data(build_quotient(N)) == quotient_data(build_quotient(closed))
-    # distance data from the Schreier walk, against the closed list's scan
-    assert min_distance(N) == min_distance(closed)
+    # distance data from the Schreier walk, against the key closure's scan
+    assert min_distance(N) == scan_min_distance(elements)
     assert quotient_params(build_quotient(N), 3) == quotient_params(build_quotient(closed), 3)
 
 
-def test_distance_data_of_the_folded_8_normalizer_need_no_closure(monkeypatch):
+def test_distance_data_of_the_folded_8_normalizer_need_no_list(monkeypatch):
     # the normalizer of the folded 8-cube is Aut(Q_8), of order 10,321,920
     K = folded_cube_group(8)
     N = normalizer(K, "full", cap=1)
     assert N.order == (1 << 8) * 40320
 
-    def no_closure(*args, **kwargs):
-        raise AssertionError("element list closed")
+    def no_list(*args, **kwargs):
+        raise AssertionError("element list built")
 
-    monkeypatch.setattr(cube_symmetry, "_close", no_closure)
+    monkeypatch.setattr(CubeGroup, "elements", property(no_list))
     assert min_distance(N) == 0
     params = quotient_params(build_quotient(N), 2)
     assert [p.level for p in params] == [0, 1, 2] and params[0].valency == 0
@@ -479,7 +482,7 @@ def test_normalizing_translations_match_brute_force():
     rng = random.Random(3)
     for n in range(3, 9):
         for K in sample_subgroups(n, 6, rng) + [CubeGroup.trivial(n)]:
-            T = {g.translation.bits for g in K if g.perm.is_identity()}
+            T = {g.translation.bits for g in closed_elements(K) if g.perm.is_identity()}
             brute = {
                 y
                 for y in range(1 << n)

@@ -134,11 +134,23 @@ def names_by_scope(tree):
             stack.append((child, scope))
 
 
-def test_element_lists_close_only_when_a_group_is_iterated():
-    # a group is built from its generators' Schreier walk; the key closure has
-    # one caller, so neither generate_group nor parse_group_text closes a list
-    found = []
+def test_element_lists_are_built_only_in_cube_group_elements():
+    # a group is its generators' Schreier walk and its element list is the
+    # walk's cosets; no breadth-first key closure is left in the package. The
+    # unchecked view constructor is named where a list of views is built
+    # (CubeGroup.elements) and where one element is made from valid ones
+    views, closures = set(), set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [(path.name, scope) for scope, name in names_by_scope(tree) if name == "_close"]
-    assert found == [("cube_symmetry.py", "CubeGroup.elements")]
+        for scope, name in names_by_scope(tree):
+            if name == "_from_key":
+                views.add((path.name, scope))
+            elif name == "_close":
+                closures.add((path.name, scope))
+    assert closures == set()
+    assert views == {
+        ("cube_symmetry.py", "CubeAutomorphism.compose"),
+        ("cube_symmetry.py", "CubeAutomorphism.inverse"),
+        ("cube_symmetry.py", "CubeGroup.elements"),
+        ("verify.py", "random_involution"),
+    }
