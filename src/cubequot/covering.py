@@ -5,22 +5,16 @@ restricts to a bijection from the neighbors of every cube vertex onto the
 neighbors of its image. `lift_covering` reverses direction: given a
 connected triangle-free graph in which every 2-path closes into a unique
 quadrangle (and whose deeper parameters cooperate), it reconstructs such a
-projection vertex by vertex; `deck_group` then recovers the group of cube
-automorphisms commuting with the projection.
+projection vertex by vertex, one quadrangle per vertex, and checks the
+result once; `deck_group` then recovers the group of cube automorphisms
+commuting with the projection, as a group built by its Schreier walk.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Optional, Sequence
 
-from .cube_symmetry import (
-    BitVector,
-    CubeAutomorphism,
-    CubeGroup,
-    Permutation,
-    _GroupBuilder,
-)
+from .cube_symmetry import BitVector, CubeAutomorphism, CubeGroup, Permutation, generate_group
 from .errors import (
     DimensionTooLarge,
     InconsistentLift,
@@ -29,8 +23,8 @@ from .errors import (
     QuadrangleAmbiguous,
     ReconstructionFailed,
 )
-from .graph_core import SimpleGraph, bits_of, is_rectagraph
-from .quotient import MAX_QUOTIENT_DIMENSION
+from .graph_core import SimpleGraph, is_rectagraph
+from .quotient import MAX_QUOTIENT_DIMENSION, image_tables
 
 
 class CoveringMap:
@@ -48,14 +42,6 @@ class CoveringMap:
     def __setattr__(self, *_):
         raise AttributeError("CoveringMap is immutable")
 
-    def to_json(self) -> str:
-        """JSON array of 2^n target indices (index = vertex bits)."""
-        return json.dumps(list(self.image)) + "\n"
-
-    @classmethod
-    def from_json(cls, n: int, target: SimpleGraph, text: str) -> "CoveringMap":
-        return cls(n, target, json.loads(text))
-
     def __repr__(self) -> str:
         return f"CoveringMap(n={self.n}, target={self.target!r})"
 
@@ -64,19 +50,14 @@ def verify_covering(c: CoveringMap) -> bool:
     """Surjective and locally bijective at every cube vertex."""
     n = c.n
     image = c.image
-    target = c.target
-    if set(image) != set(range(target.n)):
+    adj = c.target.adj
+    if set(image) != set(range(c.target.n)):
         return False
     for v in range(1 << n):
         mask = 0
-        count = 0
         for i in range(n):
-            w = image[v ^ (1 << i)]
-            mask |= 1 << w
-            count += 1
-        if count != mask.bit_count():  # repeated neighbor image
-            return False
-        if mask != target.adj[image[v]]:
+            mask |= 1 << image[v ^ (1 << i)]
+        if mask.bit_count() != n or mask != adj[image[v]]:  # repeated or wrong neighbor images
             return False
     return True
 
@@ -101,12 +82,15 @@ def lift_covering(
 
     The target must be a rectagraph, regular of some valency n; the i-th
     entry of neighbor_order (default: ascending) becomes the image of e_i.
-    Images are assigned in weight order: for y with lowest set bits i < j,
-    pi(y) is the fourth vertex of the unique quadrangle over the 2-path
-    (pi(y - e_j), pi(y - e_i - e_j), pi(y - e_i)), and agreement of every
-    other bit pair is checked explicitly, converting the existence argument
-    into a verified construction. The result always passes verify_covering.
-    Valency n > MAX_QUOTIENT_DIMENSION raises DimensionTooLarge up front.
+    Images are assigned in increasing index order: for y with lowest set
+    bits i < j, pi(y) is the fourth vertex of the unique quadrangle over the
+    2-path (pi(y - e_j), pi(y - e_i - e_j), pi(y - e_i)), all three below y.
+    The map is then checked once with verify_covering, which raises
+    InconsistentLift on failure. A covering of a rectagraph makes every
+    other bit pair agree as well: pi(y) is a common neighbor of
+    pi(y - e_a) and pi(y - e_b) other than pi(y - e_a - e_b), and that
+    common neighbor is unique. Valency n > MAX_QUOTIENT_DIMENSION raises
+    DimensionTooLarge up front.
     """
     n = target.degree(base)
     if n > MAX_QUOTIENT_DIMENSION:
@@ -123,35 +107,16 @@ def lift_covering(
         raise ValueError("neighbor_order must list the neighbors of base exactly")
 
     size = 1 << n
-    image = [-1] * size
-    image[0] = base
+    image = [base] * size
     for i in range(n):
         image[1 << i] = neighbor_order[i]
-    for y in sorted(range(size), key=lambda v: (v.bit_count(), v)):
-        if y.bit_count() < 2:
-            continue
+    for y in range(size):
+        if y & (y - 1) == 0:
+            continue  # 0 and the e_i are set
         lsb = y & -y
-        i = lsb.bit_length() - 1
         rest = y ^ lsb
-        j = (rest & -rest).bit_length() - 1
-        end1 = image[y ^ (1 << j)]
-        end2 = image[y ^ (1 << i)]
-        mid = image[y ^ (1 << i) ^ (1 << j)]
-        image[y] = _quadrangle_fourth(target, end1, mid, end2)
-        # every other bit pair must complete to the same vertex
-        set_bits = list(bits_of(y))
-        for a_idx, a in enumerate(set_bits):
-            for b in set_bits[a_idx + 1 :]:
-                if (a, b) == (i, j):
-                    continue
-                e1 = image[y ^ (1 << b)]
-                e2 = image[y ^ (1 << a)]
-                m = image[y ^ (1 << a) ^ (1 << b)]
-                fourth = _quadrangle_fourth(target, e1, m, e2)
-                if fourth != image[y]:
-                    raise InconsistentLift(
-                        f"bit pairs ({i},{j}) and ({a},{b}) disagree at vertex {y:#x}"
-                    )
+        second = rest & -rest
+        image[y] = _quadrangle_fourth(target, image[y ^ second], image[rest ^ second], image[rest])
     cover = CoveringMap(n, target, image)
     if not verify_covering(cover):
         raise InconsistentLift("constructed map is not a covering")
@@ -163,40 +128,37 @@ def deck_group(c: CoveringMap) -> CubeGroup:
 
     Candidates are reconstructed from local data: for each y in the fiber
     over image[0] there is at most one (y, sigma) sending 0 to y, because
-    sigma is forced by matching neighbor fibers. Every candidate must then
-    verify globally; a candidate that cannot be reconstructed or fails the
-    global check signals a covering without a regular deck action and
-    raises ReconstructionFailed.
+    sigma is forced by matching neighbor fibers; the covering makes the n
+    neighbor images at y the same n distinct vertices as at 0. Every
+    candidate must then keep each cube vertex in its fiber, read off its
+    image table; one that does not signals a covering without a regular
+    deck action and raises ReconstructionFailed. The group is built by its
+    Schreier walk from the candidates, keeping each that is not in the group
+    walked so far.
     """
+    import numpy as np
+
     if not verify_covering(c):
         raise NotCovering("deck group is only defined for verified coverings")
     n = c.n
     image = c.image
-    size = 1 << n
-    fiber0 = [v for v in range(size) if image[v] == image[0]]
+    fibers = np.array(image, dtype=np.int64)
     members: list[CubeAutomorphism] = []
-    for y in fiber0:
-        images = [-1] * n
-        for i in range(n):
-            want = image[1 << i]
-            hits = [k for k in range(n) if image[y ^ (1 << k)] == want]
-            if len(hits) != 1:
-                raise ReconstructionFailed(
-                    f"neighbor fiber match at y={y:#x}, i={i + 1} is not unique"
-                )
-            images[i] = hits[0]
-        if sorted(images) != list(range(n)):
+    for y in np.flatnonzero(fibers == image[0]).tolist():
+        at_y = {image[y ^ (1 << k)]: k for k in range(n)}
+        images = [at_y[image[1 << i]] for i in range(n)]
+        moved = np.flatnonzero(fibers[image_tables([(y, images)])[0]] != fibers)
+        if moved.size:
             raise ReconstructionFailed(
-                f"candidate at y={y:#x} does not induce a coordinate bijection"
+                f"candidate at y={y:#x} moves vertex {int(moved[0]):#x} across fibers"
             )
-        g = CubeAutomorphism(BitVector(n, y), Permutation(images))
-        for v in range(size):
-            if image[g.act_bits(v)] != image[v]:
-                raise ReconstructionFailed(
-                    f"candidate at y={y:#x} moves vertex {v:#x} across fibers"
-                )
-        members.append(g)
-    builder = _GroupBuilder(n, members)
-    if builder.order() != len(members):
+        members.append(CubeAutomorphism(BitVector(n, y), Permutation(images)))
+    gens: list[CubeAutomorphism] = []
+    group = CubeGroup.trivial(n)
+    for g in members:
+        if g not in group:
+            gens.append(g)
+            group = generate_group(gens)
+    if group.order != len(members):
         raise ReconstructionFailed("reconstructed candidates do not close into a group")
-    return CubeGroup(n, builder.gens, len(members))
+    return group

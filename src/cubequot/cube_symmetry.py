@@ -159,9 +159,6 @@ class BitVector:
         """Coordinate i (1-based)."""
         return (self.bits >> (i - 1)) & 1
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self.bit(i))
-
     def to_string(self) -> str:
         return format(self.bits, f"0{self.n}b")[::-1]
 
@@ -232,10 +229,6 @@ class Permutation:
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
         return cls.from_cycles(n, [(i, j)])
-
-    def image_of(self, i: int) -> int:
-        """Image of 1-based coordinate i, 1-based."""
-        return self.images[i - 1] + 1
 
     def apply_bits(self, bits: int) -> int:
         """Move bit j to bit images[j] for every set bit."""
@@ -369,19 +362,8 @@ class CubeAutomorphism:
     def is_identity(self) -> bool:
         return self.translation.bits == 0 and self.perm.is_identity()
 
-    def is_translation(self) -> bool:
-        return self.perm.is_identity()
-
     def is_even(self) -> bool:
         return self.translation.weight % 2 == 0
-
-    def order(self) -> int:
-        k = 1
-        cur = self
-        while not cur.is_identity():
-            cur = cur.compose(self)
-            k += 1
-        return k
 
     def key(self) -> tuple[int, tuple[int, ...]]:
         return (self.translation.bits, self.perm.images)
@@ -451,9 +433,20 @@ class CubeGroup:
 
     def _coset_walk(self) -> tuple[dict[tuple[int, ...], int], dict[int, int]]:
         """(reps, t_pivots) of `_schreier_walk`, walked on first use. Raises
-        InvariantViolated when the walk's |pi(K)| 2^dim T is not the order."""
+        InvariantViolated when the walk's |pi(K)| 2^dim T is not the order.
+
+        An order up to _WALK_CAP caps the walk, so generators of a larger
+        group stop as soon as they pass it; a larger order keeps the uncapped
+        walk and its bound on the parts, which raises GroupTooLarge.
+        """
         if self._walk is None:
-            walk = _schreier_walk(self.n, self.generators)
+            capped = self.order <= _WALK_CAP
+            try:
+                walk = _schreier_walk(self.n, self.generators, self.order if capped else INFINITY)
+            except GroupTooLarge:
+                if not capped:
+                    raise
+                raise InvariantViolated(f"generators walk past the order {self.order}") from None
             order = len(walk[0]) << len(walk[1])
             if order != self.order:
                 raise InvariantViolated(f"generators walk to order {order}, the order is {self.order}")
@@ -474,11 +467,6 @@ class CubeGroup:
 
     def non_identity(self) -> Iterator[CubeAutomorphism]:
         return (g for g in self if not g.is_identity())
-
-    def same_group_as(self, other: "CubeGroup") -> bool:
-        """Equal orders, and every generator of other lies in this group."""
-        same = self.n == other.n and self.order == other.order
-        return same and all(g in self for g in other.generators)
 
     def __repr__(self) -> str:
         return f"CubeGroup(n={self.n}, order={self.order}, gens={len(self.generators)})"
@@ -560,17 +548,6 @@ def _least_weight(word: int, basis: Sequence[int]) -> int:
     return best
 
 
-def min_distance(K: CubeGroup) -> float | int:
-    """Minimum distance of K; INFINITY for the trivial group.
-
-    Taken as coset minima over K's Schreier walk (`_coset_min_distance`), so
-    no element list is built.
-    """
-    if K.is_trivial:
-        return INFINITY
-    return _coset_min_distance(K)
-
-
 def _fold(v: int, fixed_mask: int, cycles: Sequence[tuple[int, int]]) -> int:
     """M(v): v on the fixed coordinates, and its parity on each (bit, cycle mask) at that bit."""
     w = v & fixed_mask
@@ -579,10 +556,11 @@ def _fold(v: int, fixed_mask: int, cycles: Sequence[tuple[int, int]]) -> int:
     return w
 
 
-def _coset_min_distance(K: CubeGroup) -> int:
-    """d_K of a non-trivial group from its Schreier walk, with no element list.
+def min_distance(K: CubeGroup) -> float | int:
+    """Minimum distance of K; INFINITY for the trivial group.
 
-    The elements over a coordinate part sigma are (x_sigma xor t, sigma),
+    Taken as coset minima over K's Schreier walk, with no element list. The
+    elements over a coordinate part sigma are (x_sigma xor t, sigma),
     t in T. By the closed form of `element_min_distance`, each one's distance
     is the weight of M(x_sigma xor t), where M keeps the coordinates sigma
     fixes and takes the parity on each of its cycles (at bits n, n+1, ...).
@@ -592,6 +570,8 @@ def _coset_min_distance(K: CubeGroup) -> int:
     of a non-zero t, and each such t is b_p plus a combination of the basis
     vectors below its leading bit p.
     """
+    if K.is_trivial:
+        return INFINITY
     reps, t_pivots = K._coset_walk()
     t_basis = [t_pivots[p] for p in sorted(t_pivots)]
     best = INFINITY

@@ -238,11 +238,6 @@ def _automorphism_search(G: SimpleGraph) -> tuple[list[int], list[tuple[int, ...
     return first[0], _search(G, G, table, colors, first, True)
 
 
-def automorphism_generators(G: SimpleGraph) -> list[tuple[int, ...]]:
-    """Generators of Aut(G), each verified to preserve adjacency."""
-    return _automorphism_search(G)[1]
-
-
 @dataclass(frozen=True)
 class PermGroupOnGraph:
     """Automorphism group of a graph: generators plus exact order."""

@@ -508,14 +508,10 @@ def check_even_lemma(K: CubeGroup) -> ClaimReport:
         ok = ok and double_iso
         if d >= 4:
             pi2 = distance2_graph(Q.graph)
-            halves = halved_graphs(dbl)
             halves_ok = True
-            for h in halves:
-                m = [-1] * h.n
-                # vertices of a double half carry labels "<rep>|<i>"
-                for idx in range(h.n):
-                    rep, _ = h.labels[idx].rsplit("|", 1)
-                    m[idx] = Q.graph.labels.index(rep)
+            # half p is induced on the sorted part p; double vertex u + a V projects to u
+            for h, part in zip(halved_graphs(dbl), bipartite_parts(dbl)):
+                m = [u % Q.vertex_count for u in part]
                 halves_ok = halves_ok and verify_isomorphism(h, pi2, m)
             witnesses["double_halves_isomorphic_to_distance2"] = halves_ok
             ok = ok and halves_ok

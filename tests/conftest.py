@@ -8,6 +8,7 @@ from cubequot import (
     generate_group,
     parse_group_text,
 )
+from cubequot.iso_aut import _automorphism_search
 
 QUATERNION_FILE = """n=8
 x=11110000 perm=(1 5)(2 6)(3 7)(4 8)
@@ -30,6 +31,21 @@ def brute_element_distance(g: CubeAutomorphism) -> int:
     return min(
         bin(v ^ g.act_bits(v)).count("1") for v in range(1 << g.n)
     )
+
+
+def is_translation(g: CubeAutomorphism) -> bool:
+    return g.perm.is_identity()
+
+
+def same_group_as(K: CubeGroup, other: CubeGroup) -> bool:
+    """Equal orders, and every generator of other lies in K."""
+    same = K.n == other.n and K.order == other.order
+    return same and all(g in K for g in other.generators)
+
+
+def automorphism_generators(G: SimpleGraph) -> list[tuple[int, ...]]:
+    """Generators of Aut(G), each verified to preserve adjacency."""
+    return _automorphism_search(G)[1]
 
 
 def folded_cube_group(n: int) -> CubeGroup:

@@ -297,6 +297,22 @@ def test_verify_element_list_and_bipartition_claims_pinned(claim, seed, digest, 
     assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
 
+@pytest.mark.parametrize(
+    "claim, seed, digest",
+    [
+        *[("cor-main-rect", seed, "87f0afcd515edf2b") for seed in range(3)],
+        ("lem-covering", 0, "01caa5dc76135cfb"),
+    ],
+)
+def test_verify_covering_claims_pinned(claim, seed, digest, capsys):
+    # sha256 recorded while lifts checked every bit pair of each vertex and
+    # deck groups picked their generators by Schreier-Sims
+    args = ["verify", "--claims", claim, "--seed", str(seed), "--format", "json"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+
+
 def test_verify_single_claim(capsys):
     code, out, _ = run_cli(["verify", "--claims", "ex-exp-halved"], capsys)
     assert code == 0

@@ -60,7 +60,31 @@ from cubequot.verify import (
     sample_subgroups,
 )
 
-from conftest import QUATERNION_FILE, brute_element_distance, folded_cube_group
+from conftest import (
+    QUATERNION_FILE,
+    brute_element_distance,
+    folded_cube_group,
+    is_translation,
+    same_group_as,
+)
+
+
+def support(v: BitVector) -> tuple[int, ...]:
+    return tuple(i for i in range(1, v.n + 1) if v.bit(i))
+
+
+def image_of(p: Permutation, i: int) -> int:
+    """Image of 1-based coordinate i, 1-based."""
+    return p.images[i - 1] + 1
+
+
+def element_order(g: CubeAutomorphism) -> int:
+    k = 1
+    cur = g
+    while not cur.is_identity():
+        cur = cur.compose(g)
+        k += 1
+    return k
 
 
 def random_element(n, rng):
@@ -76,7 +100,7 @@ def random_element(n, rng):
 
 def test_bitvector_string_round_trip():
     v = BitVector.from_string("11110000")
-    assert v.support() == (1, 2, 3, 4)
+    assert support(v) == (1, 2, 3, 4)
     assert v.to_string() == "11110000"
     assert v.weight == 4
     assert (v ^ v).bits == 0
@@ -90,7 +114,7 @@ def test_bitvector_rejects_out_of_range_bits():
 def test_permutation_cycles_round_trip():
     p = Permutation.from_cycles(8, [(1, 5), (2, 6), (3, 7), (4, 8)])
     assert p.cycle_string() == "(1 5)(2 6)(3 7)(4 8)"
-    assert p.image_of(1) == 5 and p.image_of(5) == 1
+    assert image_of(p, 1) == 5 and image_of(p, 5) == 1
     assert p.compose(p).is_identity()
     assert Permutation.identity(4).cycle_string() == "id"
 
@@ -411,7 +435,7 @@ def test_listed_views_are_valid_elements(n, seed):
 
 def test_element_order_divides_group_order(quaternion_group):
     for g in quaternion_group:
-        assert quaternion_group.order % g.order() == 0
+        assert quaternion_group.order % element_order(g) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +672,7 @@ def test_is_semiregular():
 
 def test_conjugate_by_identity(quaternion_group):
     K = conjugate_group(quaternion_group, CubeAutomorphism.identity(8))
-    assert K.same_group_as(quaternion_group)
+    assert same_group_as(K, quaternion_group)
 
 
 @settings(max_examples=40, deadline=None)
@@ -672,7 +696,7 @@ def test_conjugate_of_translation_group_is_translation_group():
     )
     g = random_element(7, rng)
     L = conjugate_group(K, g)
-    assert all(k.is_translation() for k in L)
+    assert all(is_translation(k) for k in L)
 
 
 def test_intersect_even():
@@ -811,21 +835,21 @@ def test_membership_in_a_normalizer_lists_no_elements(monkeypatch):
     assert CubeAutomorphism.translation_by(BitVector.from_support(n, (1, 2))) in N
     assert CubeAutomorphism.translation_by(BitVector.from_support(n, (1,))) not in N
     assert CubeAutomorphism.identity(n + 1) not in N
-    assert N.same_group_as(CubeGroup(n, N.generators[::-1], N.order))
-    assert not N.same_group_as(normalizer(K, "even"))
+    assert same_group_as(N, CubeGroup(n, N.generators[::-1], N.order))
+    assert not same_group_as(N, normalizer(K, "even"))
 
 
 def test_same_group_as_tells_equal_orders_apart():
     a = CubeAutomorphism.translation_by(BitVector.from_support(6, (1, 2)))
     b = CubeAutomorphism.translation_by(BitVector.from_support(6, (3, 4)))
     K = generate_group([a, b])
-    assert K.same_group_as(generate_group([a.compose(b), b]))
-    assert not K.same_group_as(generate_group([a]))
-    assert not K.same_group_as(
-        generate_group([a, CubeAutomorphism.translation_by(BitVector.from_support(6, (5, 6)))])
+    assert same_group_as(K, generate_group([a.compose(b), b]))
+    assert not same_group_as(K, generate_group([a]))
+    assert not same_group_as(
+        K, generate_group([a, CubeAutomorphism.translation_by(BitVector.from_support(6, (5, 6)))])
     )
-    assert not K.same_group_as(generate_group([a, CubeAutomorphism.translation_by(BitVector(6, 1))]))
-    assert not CubeGroup.trivial(5).same_group_as(CubeGroup.trivial(6))
+    assert not same_group_as(K, generate_group([a, CubeAutomorphism.translation_by(BitVector(6, 1))]))
+    assert not same_group_as(CubeGroup.trivial(5), CubeGroup.trivial(6))
 
 
 # ---------------------------------------------------------------------------
@@ -903,8 +927,8 @@ def test_normalizer_transposition_involution():
         y = g.translation
         assert y.bit(1) == y.bit(2)
         tau = g.perm
-        assert {tau.image_of(1), tau.image_of(2)} == {
-            tau.image_of(2), tau.image_of(1)
+        assert {image_of(tau, 1), image_of(tau, 2)} == {
+            image_of(tau, 2), image_of(tau, 1)
         }
 
 
@@ -955,6 +979,24 @@ def test_element_list_that_disagrees_with_the_order_is_an_invariant_violation():
         CubeGroup(5, [g], 4).elements  # walks to order 2
     with pytest.raises(InvariantViolated):
         min_distance(CubeGroup(5, [g, h], 2))  # the Schreier walk finds order 4
+
+
+def test_a_stated_order_caps_the_walk():
+    # the generators of Aut(Q_n) stated as a group of order 2 stop as soon as
+    # the walk passes order 2; walked without a cap, pi(K) = S_n has more than
+    # 2^20 parts at n = 10 and 12 and the walk ends in GroupTooLarge instead
+    for n in (8, 10, 12):
+        with pytest.raises(InvariantViolated):
+            CubeGroup(n, standard_generators(n), 2).elements
+
+
+def test_a_stated_order_above_the_walk_bound_keeps_the_part_bound(monkeypatch):
+    monkeypatch.setattr(cube_symmetry, "_WALK_CAP", 100)
+    with pytest.raises(GroupTooLarge):
+        CubeGroup(6, standard_generators(6), 46080).elements  # 720 coordinate parts
+    with pytest.raises(InvariantViolated):
+        CubeGroup(6, standard_generators(6), 100).elements  # capped at the stated order
+    assert len(CubeGroup(4, standard_generators(4), 384).elements) == 384  # 24 parts
 
 
 def test_even_part_checks_the_index():
@@ -1070,7 +1112,7 @@ def test_normalizer_of_involutions_matches_enumeration(n):
             groups.append(generate_group([CubeAutomorphism(BitVector(n, x), sigma)]))
     for K in groups:
         k = next(K.non_identity())
-        check_normalizer(K, ambient_scan_count(K) if k.is_translation() else centralizer_count(K))
+        check_normalizer(K, ambient_scan_count(K) if is_translation(k) else centralizer_count(K))
 
 
 @pytest.mark.parametrize("n", (5, 6, 7))
@@ -1182,7 +1224,7 @@ def test_conjugating_element_matches_brute_force(n):
         assert verdicts[-1] == (conjugacy_brute(K, L) is not None), (K, L)
         if g is not None:
             assert all(k.conjugated_by(g) in L for k in K.generators)
-            assert conjugate_group(K, g).same_group_as(L)
+            assert same_group_as(conjugate_group(K, g), L)
     assert all(verdicts[1::2])  # the conjugates
 
 
@@ -1273,4 +1315,4 @@ def test_format_parse_round_trip(seed):
     except GroupTooLarge:
         return
     K2 = parse_group_text(format_group_text(K))
-    assert K2.same_group_as(K)
+    assert same_group_as(K2, K)

@@ -27,11 +27,10 @@ from cubequot.iso_aut import (
     _invariant_values,
     _neighbor_table,
     _refine,
-    automorphism_generators,
 )
 from cubequot.verify import _default_grid
 
-from conftest import QUATERNION_FILE, cube_graph, folded_cube_group
+from conftest import QUATERNION_FILE, automorphism_generators, cube_graph, folded_cube_group
 from test_perm_groups import chain_elements, group_from_generators
 
 

@@ -20,7 +20,6 @@ from cubequot.cube_symmetry import (
     standard_generators,
 )
 from cubequot.graph_core import halved_graphs
-from cubequot.iso_aut import automorphism_generators
 from cubequot.perm_groups import (
     PermutationGroup,
     compose_perms,
@@ -31,7 +30,7 @@ from cubequot.perm_groups import (
 from cubequot.quotient import build_quotient
 from cubequot.verify import _not_vt_group
 
-from conftest import folded_cube_group
+from conftest import automorphism_generators, folded_cube_group
 
 
 def random_perm(degree, rng):

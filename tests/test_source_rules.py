@@ -154,3 +154,21 @@ def test_element_lists_are_built_only_in_cube_group_elements():
         ("cube_symmetry.py", "CubeGroup.elements"),
         ("verify.py", "random_involution"),
     }
+
+
+def test_signed_coordinate_schreier_sims_stays_in_cube_symmetry():
+    # a group is its Schreier walk; the signed-coordinate chain behind
+    # _GroupBuilder serves only the normalizer and the even part
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ]
+        for name in [name for _, name in names_by_scope(tree)] + imported:
+            if name in ("_GroupBuilder", "_monomial_perm"):
+                found.add(path.name)
+    assert found == {"cube_symmetry.py"}
