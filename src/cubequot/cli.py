@@ -10,6 +10,7 @@ seed. Every error path exits non-zero after printing one line of the form
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -113,7 +114,8 @@ def cmd_halves(args) -> int:
 def cmd_params(args) -> int:
     K = _load_group(args)
     Q = build_quotient(K)
-    rows = quotient_params(Q, args.max_level)
+    max_level = min(3, Q.n) if args.max_level is None else args.max_level
+    rows = quotient_params(Q, max_level)
     data = {
         "vertices": Q.vertex_count,
         "regular": rows[0].is_regular,
@@ -220,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="distance parameters c_i and a_i of the quotient")
     add_common(p)
-    p.add_argument("--max-level", type=int, default=3)
+    p.add_argument(
+        "--max-level", type=int, help="highest distance level (default: 3, or n when n < 3)"
+    )
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("aut", help="automorphism group of the quotient")
@@ -242,9 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call and reused: building the tree costs far more
+# than parsing one argv, and parse_args writes only to a fresh namespace
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CubeQuotError as exc:

@@ -1,16 +1,18 @@
 """Finite simple graphs and the constructions around distance-2 structure.
 
 Vertices are 0..n-1. A graph holds its adjacency in one of two forms. Bit
-masks, one V-bit int per vertex (`SimpleGraph.adj`), keep breadth-first
+masks, one V-bit int per vertex (`SimpleGraph.adj`), keep single-start
 searches and common-neighbor counts cheap at the scales this package
 searches at (a few thousand vertices). A neighbour table, one row of
 neighbour ids per vertex, is what a quotient of the cube gives directly:
 its V rows have n entries each, where the masks cost V^2/8 bytes. A graph
 built from a table builds its masks on the first read of `adj`, and
 refuses with TooLarge when they would exceed MASK_BUDGET_BYTES. Export
-(`edges`, `to_json`, `to_dot`) reads one sorted edge array, which a table
-gives without any masks. Graphs are immutable after construction and all
-operations are pure.
+(`edges`, `to_json`, `to_dot`) reads one sorted edge array, and searches
+from many roots (`bfs_levels`, under `local_params`, `sphere_sizes` and
+`distance2_graph`) read the padded table of `neighbor_table`; a table
+gives both without any masks. Graphs are immutable after construction
+and all operations are pure.
 
 Distance parameters follow the usual convention: for vertices u, v at
 distance i, c_i(u, v) counts neighbors of v at distance i-1 from u and
@@ -221,9 +223,10 @@ class SimpleGraph:
     def bfs_level_masks(self, start: int, max_level: Optional[int] = None) -> list[int]:
         """Masks of the distance spheres around start, index = distance.
 
-        This is the package's one BFS kernel. With max_level set, the search
-        stops after that level, so the list has at most max_level + 1 masks;
-        a shorter list means the spheres beyond it are empty.
+        A single-start traversal over the masks; searches from many roots
+        run `bfs_levels` over a neighbour table. With max_level set, the
+        search stops after that level, so the list has at most max_level + 1
+        masks; a shorter list means the spheres beyond it are empty.
         """
         levels = [1 << start]
         seen = 1 << start
@@ -374,6 +377,117 @@ def _edges_from_table(table):
     return np.stack((np.broadcast_to(own, rows.shape)[keep], rows[keep]), axis=1)
 
 
+# Size of one per-batch array of the all-roots runs and of the mask
+# unpacking in `neighbor_table`, in bytes: roots or rows are taken in
+# batches so that arrays of a byte (or a bit) per pair stay near it.
+_BATCH_BYTES = 1 << 15
+
+
+def neighbor_table(G: SimpleGraph):
+    """G's neighbours as a V x max-degree intp array: row v lists the distinct
+    neighbours of v ascending, padded with V.
+
+    A table-built graph sorts its own table and pads out repeats and
+    self-entries; a mask-built one unpacks its masks, a batch of rows at a
+    time.
+    """
+    import numpy as np
+
+    n = G.n
+    if G._table is None:
+        degs = np.array([mask.bit_count() for mask in G._adj], dtype=np.intp)
+        table = np.full((n, int(degs.max(initial=0))), n, dtype=np.intp)
+        size = (n + 7) // 8
+        step = max(1, _BATCH_BYTES // max(n, 1))
+        for lo in range(0, n, step):
+            masks = G._adj[lo : lo + step]
+            raw = b"".join([mask.to_bytes(size, "little") for mask in masks])
+            packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), size)
+            bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+            rows, cols = np.divmod(np.flatnonzero(bits.view(bool)), n)
+            row_degs = degs[lo : lo + step]
+            starts = np.cumsum(row_degs) - row_degs
+            table[lo + rows, np.arange(len(cols)) - starts[rows]] = cols
+        return table
+    table = np.sort(G._table, axis=1).astype(np.intp, copy=False)
+    drop = table == np.arange(n)[:, None]
+    drop[:, 1:] |= table[:, 1:] == table[:, :-1]
+    if drop.any() or not n:
+        table[drop] = n
+        table.sort(axis=1)
+        width = int((table < n).sum(axis=1).max(initial=0))
+        table = np.ascontiguousarray(table[:, :width])
+    return table
+
+
+def _root_batches(roots: Sequence[int], vertices: int, bits_per_pair: int):
+    """`roots` in consecutive slices of a multiple of 64 roots (one word per
+    64), each with at most 8 * _BATCH_BYTES / bits_per_pair (vertex, root)
+    pairs when that allows a whole word."""
+    step = max(1, 8 * _BATCH_BYTES // bits_per_pair // max(vertices, 1) // 64) * 64
+    for lo in range(0, len(roots), step):
+        yield roots[lo : lo + step]
+
+
+def bfs_levels(table, roots: Sequence[int], max_level: Optional[int] = None):
+    """Breadth-first search from every root at once over a neighbour table
+    (see `neighbor_table`); yields the levels 0, 1, ... in order.
+
+    Level k is a V x ceil(R/64) uint64 array for the roots r_0..r_{R-1}:
+    bit j % 64 of word j // 64 in row v is set when r_j is at distance
+    exactly k from v. Level k+1 is the OR of level k over each vertex's
+    neighbour rows, less every bit reached so far. The search stops after
+    max_level, or before the first empty level. A yielded array is never
+    written to again. Each level takes R*V/8 bytes, so callers that search
+    from every vertex pass the roots in batches (`_root_batches`).
+    """
+    import numpy as np
+
+    if not len(roots):
+        return
+    n = len(table)
+    bit = np.arange(len(roots))
+    # row n is the pad that the table's padding entries read: always empty
+    level = np.zeros((n + 1, -(-len(roots) // 64)), dtype=np.uint64)
+    ones = np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64))
+    np.bitwise_or.at(level, (np.asarray(roots, dtype=np.intp), bit >> 6), ones)
+    reach = level.copy()
+    gathered = np.empty((n, level.shape[1]), dtype=np.uint64)
+    depth = 0
+    while True:
+        yield level[:n]
+        if depth == max_level:
+            return
+        nxt = np.zeros_like(level)
+        body = nxt[:n]
+        for column in table.T:
+            body |= level.take(column, axis=0, out=gathered)
+        nxt &= ~reach
+        if not nxt.any():
+            return
+        reach |= nxt
+        level = nxt
+        depth += 1
+
+
+def sphere_sizes(table, max_level: Optional[int] = None) -> list:
+    """|S_k(v)| for every vertex v of a neighbour table, as one int array of V
+    entries per level k = 0, 1, ..., up to the last nonempty sphere (or
+    max_level). Every vertex is a root, and distance is symmetric, so the
+    bits of row v in level k count the sphere S_k(v)."""
+    import numpy as np
+
+    sizes: list = []
+    for batch in _root_batches(range(len(table)), len(table), 1):
+        for k, level in enumerate(bfs_levels(table, batch, max_level)):
+            counts = np.bitwise_count(level).sum(axis=1, dtype=np.intp)
+            if k < len(sizes):
+                sizes[k] += counts
+            else:
+                sizes.append(counts)
+    return sizes
+
+
 @dataclass(frozen=True)
 class LocalParams:
     """Distance parameters at one level, graph regularity alongside."""
@@ -468,39 +582,68 @@ def local_params(
     A level where the counts depend on the pair reports UNDEFINED; a level
     with no pairs at all reports VACUOUS.
 
-    Each root u runs one BFS truncated at max_level and contributes the
-    pairs (u, v). By default every vertex is a root. A caller may pass
-    fewer roots, provided they meet every orbit of some automorphism group
-    of G: an automorphism maps pairs at distance i to pairs at distance i
-    and preserves both counts, so the result is the same. For quotients of
-    the cube, `quotient.translation_roots` gives such a set.
+    Each root u contributes the pairs (u, v) with v within max_level of u.
+    By default every vertex is a root. A caller may pass fewer roots,
+    provided they meet every orbit of some automorphism group of G: an
+    automorphism maps pairs at distance i to pairs at distance i and
+    preserves both counts, so the result is the same. For quotients of the
+    cube, `quotient.translation_roots` gives such a set. Roots must be ints
+    in 0..V-1 (ValueError otherwise).
+
+    The roots run through `bfs_levels` in batches. Each batch becomes a
+    V x R array of distances (-1 beyond max_level), and c_i(u, v) and
+    a_i(u, v) are counted over v's neighbour-table row at once for all
+    pairs; degrees come from the same table, so a table-built graph builds
+    no masks.
     """
+    import numpy as np
+
     if max_level < 0:
         raise PreconditionViolated(f"max_level must be non-negative, got {max_level}")
-    if G.n == 0:
+    n = G.n
+    if n == 0:
         raise ValueError("graph is empty")
-    degs = G.degrees()
-    regular = all(d == degs[0] for d in degs)
-    valency: ParamValue = degs[0] if regular else UNDEFINED
-    c_vals: list[ParamValue] = [VACUOUS] * (max_level + 1)
-    a_vals: list[ParamValue] = [VACUOUS] * (max_level + 1)
-    c_vals[0] = 0
-    a_vals[0] = 0
-    adj = G.adj
-    for u in range(G.n) if roots is None else roots:
-        levels = G.bfs_level_masks(u, max_level)
-        for i in range(1, len(levels)):
-            below = levels[i - 1]
-            here = levels[i]
-            for v in bits_of(here):
-                c = (adj[v] & below).bit_count()
-                a = (adj[v] & here).bit_count()
-                for vals, x in ((c_vals, c), (a_vals, a)):
-                    cur = vals[i]
-                    if cur is VACUOUS:
-                        vals[i] = x
-                    elif cur is not UNDEFINED and cur != x:
-                        vals[i] = UNDEFINED
+    roots = range(n) if roots is None else list(roots)
+    for r in roots:
+        if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r < n:
+            raise ValueError(f"root {r!r} is not a vertex id in 0..{n - 1}")
+    table = neighbor_table(G)
+    degs = np.count_nonzero(table < n, axis=1)
+    regular = bool((degs == degs[0]).all())
+    valency: ParamValue = int(degs[0]) if regular else UNDEFINED
+    c_vals: list[ParamValue] = [0] + [VACUOUS] * max_level
+    a_vals: list[ParamValue] = [0] + [VACUOUS] * max_level
+    dist_type = np.int8 if max_level < 127 else np.intp
+    count_type = np.uint8 if table.shape[1] < 256 else np.intp
+    for batch in _root_batches(roots, n, 8):
+        # row n is the pad, at no level
+        dist = np.full((n + 1, len(batch)), -1, dtype=dist_type)
+        for k, level in enumerate(bfs_levels(table, batch, max_level)):
+            raw = level.astype("<u8", copy=False).view(np.uint8)
+            bits = np.unpackbits(raw, axis=1, count=len(batch), bitorder="little")
+            np.copyto(dist[:n], k, where=bits.view(bool))
+        here = dist[:n]
+        below = here - 1
+        c_count = np.zeros(here.shape, dtype=count_type)
+        a_count = np.zeros(here.shape, dtype=count_type)
+        near = np.empty_like(here)
+        hit = np.empty(here.shape, dtype=bool)
+        for column in table.T:
+            dist.take(column, axis=0, out=near)
+            c_count += np.equal(near, below, out=hit)
+            a_count += np.equal(near, here, out=hit)
+        for i in range(1, max_level + 1):
+            at = here == i
+            if not at.any():
+                break
+            for vals, count in ((c_vals, c_count), (a_vals, a_count)):
+                found = count[at]
+                lo, hi = int(found.min()), int(found.max())
+                cur = vals[i]
+                if cur is VACUOUS:
+                    vals[i] = lo if lo == hi else UNDEFINED
+                elif cur is not UNDEFINED and not lo == hi == cur:
+                    vals[i] = UNDEFINED
     return [
         LocalParams(i, c_vals[i], a_vals[i], regular, valency)
         for i in range(max_level + 1)
@@ -518,16 +661,28 @@ def is_rectagraph(G: SimpleGraph) -> bool:
 
 
 def distance2_graph(G: SimpleGraph) -> SimpleGraph:
-    """Same vertex set; adjacency at distance exactly 2 in G."""
-    adj = []
-    for v in range(G.n):
-        mask = 0
-        for w in bits_of(G.adj[v]):
-            mask |= G.adj[w]
-        mask &= ~G.adj[v]
-        mask &= ~(1 << v)
-        adj.append(mask)
-    return SimpleGraph._unchecked(G.n, adj, G.labels)
+    """Same vertex set; adjacency at distance exactly 2 in G.
+
+    Level 2 of `bfs_levels` from every vertex: by symmetry of distance, row
+    v of it is v's mask. TooLarge when the V^2/8 bytes of masks exceed
+    MASK_BUDGET_BYTES.
+    """
+    import numpy as np
+
+    n = G.n
+    _check_mask_budget(n)
+    table = neighbor_table(G)
+    words = -(-n // 64)
+    rows = np.zeros((n, words), dtype=np.uint64)
+    for batch in _root_batches(range(n), n, 1):
+        levels = list(bfs_levels(table, batch, 2))
+        if len(levels) == 3:
+            first = batch.start >> 6
+            rows[:, first : first + levels[2].shape[1]] = levels[2]
+    raw = rows.astype("<u8", copy=False).tobytes()
+    size = 8 * words
+    adj = [int.from_bytes(raw[v * size : (v + 1) * size], "little") for v in range(n)]
+    return SimpleGraph._unchecked(n, adj, G.labels)
 
 
 def bipartite_parts(G: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:

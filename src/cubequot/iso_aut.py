@@ -1,9 +1,12 @@
 """Graph isomorphism, automorphism groups, and vertex-transitivity.
 
-One individualization-refinement search serves both questions. Vertices are
-colored by an isomorphism-invariant signature (degree plus distance-sphere
-profile), the coloring is refined to equitability by iterated neighbor-color
-multisets (one row sort of an n x max-degree color array per round), and the
+One individualization-refinement search serves both questions. Both run on
+the graph's neighbour table (`graph_core.neighbor_table`), built once per
+graph. Vertices are colored by an isomorphism-invariant signature (degree
+plus distance-sphere profile, counted from one breadth-first search from
+every vertex at once, `graph_core.bfs_levels`), the coloring is refined to
+equitability by iterated neighbor-color multisets (one row sort of an
+n x max-degree color array per round), and the
 search branches on the first largest non-singleton color class, smallest
 vertex first. G's first path takes the smallest vertex at every depth and
 records the class sizes after each refinement (its trace) and its leaf. A
@@ -14,8 +17,9 @@ branches are also pruned by the orbits of the automorphisms already found
 that fix the current prefix, and |Aut(G)| is the product of the first
 path's stabilizer orbit lengths under them (McKay's "Practical graph
 isomorphism", 1981), so no second group algorithm runs. With X = H the
-first map that checks is an isomorphism G -> H. Every map is checked edge
-by edge before it is returned or recorded.
+first map that checks is an isomorphism G -> H. Every map p is checked
+before it is returned or recorded: the rows of p[table_G], sorted, must
+equal the rows table_H[p].
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import TooLarge
-from .graph_core import SimpleGraph, bits_of
+from .graph_core import SimpleGraph, neighbor_table, sphere_sizes
 from .perm_groups import orbit_minima
 
 MAX_ISO_VERTICES = 2000
@@ -42,23 +46,17 @@ def _canonical_colors(values: Sequence) -> list[int]:
     return [order[val] for val in values]
 
 
-def _invariant_values(G: SimpleGraph) -> list[tuple]:
-    """Per-vertex invariant: (degree, sizes of the distance spheres)."""
-    return [
-        (G.degree(v), tuple(m.bit_count() for m in G.bfs_level_masks(v)[1:]))
-        for v in range(G.n)
-    ]
-
-
-def _neighbor_table(G: SimpleGraph):
-    """G's neighbour lists as an n x max-degree intp array padded with n."""
+def _invariant_values(table) -> list[tuple]:
+    """Per-vertex invariant: (degree, sizes of the nonempty distance spheres),
+    from one search of `graph_core.bfs_levels` from every vertex."""
     import numpy as np
 
-    rows = [G.neighbors(v) for v in range(G.n)]
-    table = np.full((G.n, max(map(len, rows), default=0)), G.n, dtype=np.intp)
-    for v, row in enumerate(rows):
-        table[v, : len(row)] = row
-    return table
+    sizes = sphere_sizes(table)[1:]
+    if not sizes:
+        return [(0, ())] * len(table)
+    rows = np.stack(sizes, axis=1)
+    depths = np.count_nonzero(rows, axis=1).tolist()  # the nonempty spheres are a prefix
+    return [(row[0], tuple(row[:d])) for row, d in zip(rows.tolist(), depths)]
 
 
 _PAD = 32767  # the int16 maximum: sorts after every color
@@ -156,8 +154,7 @@ def _first_path(table, colors: list[int]) -> tuple[list[int], list[list[int]]]:
 
 
 def _search(
-    G: SimpleGraph,
-    X: SimpleGraph,
+    table_G,
     table,
     colors: list[int],
     first: tuple[list[int], list[list[int]]],
@@ -165,10 +162,11 @@ def _search(
 ) -> list[tuple[int, ...]]:
     """The leaves of X's tree that map G onto X, as found.
 
-    `table` and `colors` are X's neighbor table and refined coloring; `first`
-    is G's first path. A branch is followed while its class sizes after
-    each refinement (its trace) match the first path's. A leaf gives the
-    map base[c] -> lab[c], checked edge by edge. With X = G and
+    `table_G` is G's neighbor table, `table` and `colors` are X's neighbor
+    table and refined coloring; `first` is G's first path. A branch is
+    followed while its class sizes after each refinement (its trace) match
+    the first path's. A leaf gives the map base[c] -> lab[c], checked row by
+    row (`_maps_rows`). With X = G and
     `on_first_path` set, the search skips the first-path leaf (the
     identity) and collects generators of Aut(G); otherwise it stops at the
     first leaf that checks.
@@ -176,7 +174,7 @@ def _search(
     path, colorings = first
     traces = [_class_sizes(c) for c in colorings[1:]]
     base = _leaf_labeling(colorings[-1])
-    n = X.n
+    n = len(table)
     found: list[tuple[int, ...]] = []
 
     def rec(colors: list[int], prefix: list[int], on_path: bool) -> bool:
@@ -188,7 +186,7 @@ def _search(
             p = [0] * n
             for c in range(n):
                 p[base[c]] = lab[c]
-            if not verify_isomorphism(G, X, p):
+            if not _maps_rows(table_G, table, p):
                 return False
             found.append(tuple(p))
             return True
@@ -232,10 +230,10 @@ def _automorphism_search(G: SimpleGraph) -> tuple[list[int], list[tuple[int, ...
     """G's first path and the generators of Aut(G) found by searching G's tree."""
     if G.n == 0:
         return [], []
-    table = _neighbor_table(G)
-    colors = _refine(table, _canonical_colors(_invariant_values(G)))
+    table = neighbor_table(G)
+    colors = _refine(table, _canonical_colors(_invariant_values(table)))
     first = _first_path(table, colors)
-    return first[0], _search(G, G, table, colors, first, True)
+    return first[0], _search(table, table, colors, first, True)
 
 
 @dataclass(frozen=True)
@@ -297,21 +295,33 @@ def is_vertex_transitive(G: SimpleGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _maps_rows(table_G, table_H, p: Sequence[int]) -> bool:
+    """Whether the bijection p maps each neighbour row of G onto the row of
+    its image in H: the rows of p[table_G], sorted, equal table_H[p]. The
+    pad (the vertex count) maps to itself, so a row of another degree differs."""
+    import numpy as np
+
+    if table_G.shape != table_H.shape:
+        return False
+    n = len(table_G)
+    image = np.empty(n + 1, dtype=np.intp)
+    image[:n] = p
+    image[n] = n
+    rows = image[table_G]
+    rows.sort(axis=1)
+    return bool(np.array_equal(rows, table_H[image[:n]]))
+
+
 def verify_isomorphism(G: SimpleGraph, H: SimpleGraph, mapping: Sequence[int]) -> bool:
     """Whether mapping is an isomorphism G -> H, checked vertex by vertex.
 
-    It must be a bijection that maps G.adj[v] onto H.adj[mapping[v]] for every v.
+    It must be a bijection that maps the neighbours of v onto those of
+    mapping[v] for every v.
     """
     n = G.n
     if H.n != n or len(mapping) != n or sorted(mapping) != list(range(n)):
         return False
-    for v in range(n):
-        m = 0
-        for w in bits_of(G.adj[v]):
-            m |= 1 << mapping[w]
-        if m != H.adj[mapping[v]]:
-            return False
-    return True
+    return _maps_rows(neighbor_table(G), neighbor_table(H), mapping)
 
 
 def are_isomorphic(G: SimpleGraph, H: SimpleGraph) -> Optional[list[int]]:
@@ -329,14 +339,14 @@ def are_isomorphic(G: SimpleGraph, H: SimpleGraph) -> Optional[list[int]]:
     n = G.n
     if n == 0:
         return []
-    inv_G, inv_H = _invariant_values(G), _invariant_values(H)
+    table_G, table_H = neighbor_table(G), neighbor_table(H)
+    inv_G, inv_H = _invariant_values(table_G), _invariant_values(table_H)
     if sorted(inv_G) != sorted(inv_H):
         return None
     colors = _canonical_colors(inv_G + inv_H)
-    table_G, table_H = _neighbor_table(G), _neighbor_table(H)
     colors_G = _refine(table_G, colors[:n])
     colors_H = _refine(table_H, colors[n:])
     if _class_sizes(colors_G) != _class_sizes(colors_H):
         return None
-    found = _search(G, H, table_H, colors_H, _first_path(table_G, colors_G), False)
+    found = _search(table_G, table_H, colors_H, _first_path(table_G, colors_G), False)
     return list(found[0]) if found else None

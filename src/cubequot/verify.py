@@ -54,6 +54,8 @@ from .graph_core import (
     halved_graphs,
     is_locally_triangular,
     is_rectagraph,
+    neighbor_table,
+    sphere_sizes,
 )
 from .iso_aut import (
     are_isomorphic,
@@ -735,10 +737,12 @@ def _lem_counting(seed: int) -> ClaimReport:
         Q = build_quotient(K)
         if not has_cube_local_structure(Q, max_level):
             continue
+        # sizes[level][u] = |S_level(u)|, zero beyond the last nonempty sphere
+        sizes = [s.tolist() for s in sphere_sizes(neighbor_table(Q.graph), max_level)]
+        sizes += [[0] * Q.vertex_count] * (max_level + 1 - len(sizes))
         for u in range(Q.vertex_count):
-            masks = Q.graph.bfs_level_masks(u, max_level)
             for level in range(1, max_level + 1):
-                size = masks[level].bit_count() if level < len(masks) else 0
+                size = sizes[level][u]
                 checked += 1
                 if size != math.comb(K.n, level):
                     return _report(

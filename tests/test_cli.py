@@ -137,19 +137,42 @@ def run_cli_capped(args, address_space):
     )
 
 
+def cube_params_text(n, levels=3):
+    """`params` text output for Q_n, the quotient by the trivial group."""
+    rows = [f"i={i} c_i={i} a_i=0\n" for i in range(levels + 1)]
+    return f"vertices={1 << n} regular=True valency={n}\n" + "".join(rows)
+
+
 def test_mask_users_refuse_trivial_q17_and_quotient_exports_it(tmp_path):
-    # the masks of 2^17 vertices take 2 GiB; params and halves need them
+    # the masks of 2^17 vertices take 2 GiB; halves needs them, while params
+    # searches the neighbour table and answers
     path = tmp_path / "trivial17.grp"
     path.write_text("n=17\n", encoding="utf-8")
-    for command in ("params", "halves"):
-        proc = run_cli_capped([command, str(path)], 3 << 29)
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.startswith("error:TOO_LARGE:") and proc.stderr.count("\n") == 1
+    proc = run_cli_capped(["params", str(path)], 3 << 29)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == cube_params_text(17)
+    proc = run_cli_capped(["halves", str(path)], 3 << 29)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:TOO_LARGE:") and proc.stderr.count("\n") == 1
     out = tmp_path / "q17.dot"
     proc = run_cli_capped(["quotient", str(path), "--format", "dot", "--out", str(out)], 3 << 29)
     assert proc.returncode == 0
     with open(out, encoding="utf-8") as fh:
         assert sum(" -- " in line for line in fh) == 17 << 16
+
+
+@pytest.mark.parametrize("n", [18, 19, 20])
+def test_params_of_large_trivial_quotients_answer_or_refuse(tmp_path, n):
+    # under the same address-space cap: the parameters, or one TOO_LARGE
+    # line, never a MemoryError
+    path = tmp_path / f"trivial{n}.grp"
+    path.write_text(f"n={n}\n", encoding="utf-8")
+    proc = run_cli_capped(["params", str(path)], 3 << 29)
+    if proc.returncode == 0:
+        assert proc.stdout == cube_params_text(n) and proc.stderr == ""
+    else:
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:TOO_LARGE:") and proc.stderr.count("\n") == 1
 
 
 def test_halves_quaternion_verdict(quaternion_file, tmp_path, capsys):
@@ -253,6 +276,46 @@ def test_params_level_above_dimension_is_typed_error(tmp_path, capsys):
     data = json.loads(out)
     assert data["valency"] == 6 and [lvl["i"] for lvl in data["levels"]] == list(range(7))
     assert [lvl["c"] for lvl in data["levels"][1:]] == [1, 2, 6, "VACUOUS", "VACUOUS", "VACUOUS"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_params_default_level_stops_at_the_dimension(tmp_path, capsys, n):
+    # the default is level 3, or n when n < 3; an explicit level above n is refused
+    path = tmp_path / "k.grp"
+    path.write_text(f"n={n}\n", encoding="utf-8")
+    code, out, err = run_cli(["params", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert out == cube_params_text(n, n)
+    code, out, err = run_cli(["params", str(path), "--max-level", str(n + 1)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:PRECONDITION_VIOLATED:") and err.count("\n") == 1
+
+
+def test_consecutive_main_calls_share_no_options(quaternion_file, tmp_path, capsys):
+    # one parser serves every call: an option given once must not carry over
+    out_path = tmp_path / "q.json"
+    code, out, _ = run_cli(["quotient", quaternion_file, "--out", str(out_path)], capsys)
+    assert code == 0 and out == ""
+    code, out, _ = run_cli(["quotient", quaternion_file], capsys)
+    assert code == 0 and out == out_path.read_text(encoding="utf-8")
+    code, out, _ = run_cli(["params", quaternion_file, "--max-level", "2"], capsys)
+    assert code == 0 and out.count("\ni=") == 3  # levels 0..2
+    code, out, _ = run_cli(["params", quaternion_file], capsys)
+    assert code == 0 and out.count("\ni=") == 4
+    code, out, _ = run_cli(["mindist", quaternion_file, "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["d_K"] == 4
+    code, out, _ = run_cli(["mindist", quaternion_file], capsys)
+    assert code == 0 and "d_K=4" in out
+
+
+def test_bad_argv_still_exits_2_with_usage(quaternion_file, capsys):
+    for argv in (["mindist", quaternion_file, "--bogus"], [], ["params"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: cubequot")
+    code, _, _ = run_cli(["mindist", quaternion_file], capsys)
+    assert code == 0
 
 
 def test_aut_folded6(tmp_path, capsys):

@@ -602,3 +602,204 @@ def test_locally_triangular_small_n_and_degree_mismatch():
     for n in (0, 1):
         with pytest.raises(BadDimension):
             is_locally_triangular(h4, n)
+
+
+# ---------------------------------------------------------------------------
+# The all-roots BFS kernel against the per-root mask searches it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_local_params(G, max_level, roots=None):
+    """The former `local_params`: one truncated mask BFS per root."""
+    degs = G.degrees()
+    regular = all(d == degs[0] for d in degs)
+    valency = degs[0] if regular else UNDEFINED
+    c_vals = [VACUOUS] * (max_level + 1)
+    a_vals = [VACUOUS] * (max_level + 1)
+    c_vals[0] = 0
+    a_vals[0] = 0
+    adj = G.adj
+    for u in range(G.n) if roots is None else roots:
+        levels = G.bfs_level_masks(u, max_level)
+        for i in range(1, len(levels)):
+            below = levels[i - 1]
+            here = levels[i]
+            for v in graph_core.bits_of(here):
+                c = (adj[v] & below).bit_count()
+                a = (adj[v] & here).bit_count()
+                for vals, x in ((c_vals, c), (a_vals, a)):
+                    cur = vals[i]
+                    if cur is VACUOUS:
+                        vals[i] = x
+                    elif cur is not UNDEFINED and cur != x:
+                        vals[i] = UNDEFINED
+    return [
+        graph_core.LocalParams(i, c_vals[i], a_vals[i], regular, valency)
+        for i in range(max_level + 1)
+    ]
+
+
+def reference_distance2_graph(G):
+    """The former `distance2_graph`: the neighbours' masks ORed per vertex."""
+    adj = []
+    for v in range(G.n):
+        mask = 0
+        for w in graph_core.bits_of(G.adj[v]):
+            mask |= G.adj[w]
+        mask &= ~G.adj[v]
+        mask &= ~(1 << v)
+        adj.append(mask)
+    return SimpleGraph._unchecked(G.n, adj, G.labels)
+
+
+# on both sides of one and two 64-bit words of roots
+KERNEL_SIZES = (0, 1, 63, 64, 65, 127, 128, 129)
+
+
+@st.composite
+def kernel_graphs(draw):
+    """Graphs on KERNEL_SIZES vertices: edgeless, sparse (mostly disconnected),
+    dense, or a union of paths and cycles."""
+    n = draw(st.sampled_from(KERNEL_SIZES), label="n")
+    kind = draw(st.sampled_from(("edgeless", "sparse", "dense", "paths")), label="kind")
+    rng = random.Random(draw(st.integers(0, 2**32), label="edges"))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if kind == "sparse":
+        edges = [e for e in pairs if rng.random() < 1.5 / n]
+    elif kind == "dense":
+        edges = [e for e in pairs if rng.random() < 0.3]
+    elif kind == "paths":
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = []
+        start = 0
+        while start < n:
+            piece = order[start : start + rng.randint(1, 40)]
+            edges += zip(piece, piece[1:])
+            if len(piece) > 2 and rng.random() < 0.5:
+                edges.append((piece[-1], piece[0]))
+            start += len(piece)
+    else:
+        edges = []
+    return SimpleGraph.from_edges(n, edges)
+
+
+def nx_distances(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return dict(nx.all_pairs_shortest_path_length(G))
+
+
+def kernel_roots(g, rng):
+    """Every vertex, or a shuffled sample with repeats that crosses 64 when g can."""
+    if rng.random() < 0.3:
+        return None
+    roots = [rng.randrange(g.n) for _ in range(rng.choice((1, 3, 64, 65, 130)))]
+    return sorted(roots) if rng.random() < 0.5 else roots
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_graphs(), st.randoms(use_true_random=False))
+def test_local_params_equals_the_per_root_mask_search(g, rng):
+    if g.n == 0:
+        with pytest.raises(ValueError):
+            local_params(g, 2)
+        return
+    roots = kernel_roots(g, rng)
+    twin = table_twin(g, rng)
+    for max_level in (0, 1, 2, 4):
+        expected = reference_local_params(g, max_level, roots)
+        assert local_params(g, max_level, roots) == expected
+        assert local_params(twin, max_level, roots) == expected
+    assert twin._adj is None  # degrees and levels come from the table
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_graphs(), st.randoms(use_true_random=False))
+def test_distance2_graph_equals_the_mask_loop(g, rng):
+    expected = reference_distance2_graph(g)
+    for h in (g, table_twin(g, rng)):
+        d2 = distance2_graph(h)
+        assert d2.adj == expected.adj and d2.labels == expected.labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_graphs(), st.randoms(use_true_random=False))
+def test_kernel_levels_and_sphere_sizes_match_networkx(g, rng):
+    dist = nx_distances(g)
+    table = graph_core.neighbor_table(table_twin(g, rng))
+    assert table.tolist() == graph_core.neighbor_table(g).tolist()
+    depth = max((d for row in dist.values() for d in row.values()), default=-1)
+    sizes = graph_core.sphere_sizes(table)
+    assert len(sizes) == depth + 1
+    for k, counts in enumerate(sizes):
+        assert counts.tolist() == [
+            sum(d == k for d in dist[v].values()) for v in range(g.n)
+        ]
+    roots = kernel_roots(g, rng) if g.n else []
+    roots = list(range(g.n)) if roots is None else roots
+    max_level = rng.choice((None, 0, 1, 3))
+    levels = list(graph_core.bfs_levels(table, roots, max_level))
+    for k, level in enumerate(levels):
+        assert level.shape == (g.n, -(-len(roots) // 64))
+        for v in range(g.n):
+            row = int.from_bytes(level[v].astype("<u8").tobytes(), "little")
+            assert row == sum(1 << j for j, r in enumerate(roots) if dist[r].get(v) == k)
+    reached = max((d for r in roots for d in dist[r].values()), default=-1)
+    assert len(levels) == (reached + 1 if max_level is None else min(reached, max_level) + 1)
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 1.0, "0", True, None])
+def test_local_params_refuses_a_root_that_is_not_a_vertex(monkeypatch, bad):
+    def refuse(*_):
+        raise AssertionError("neighbour table built before the roots were checked")
+
+    monkeypatch.setattr(graph_core, "neighbor_table", refuse)
+    for max_level in (0, 2):
+        with pytest.raises(ValueError, match="root"):
+            local_params(cycle_graph(5), max_level, [0, bad])
+
+
+def test_distance2_graph_checks_the_mask_budget_first(monkeypatch):
+    # its output is V masks of V bits, 64^2 / 8 = 512 bytes here; local
+    # parameters batch their roots and need no budget
+    g = table_twin(cycle_graph(64), random.Random(1))
+    monkeypatch.setattr(graph_core, "MASK_BUDGET_BYTES", 511)
+    with pytest.raises(TooLarge):
+        distance2_graph(g)
+    assert local_params(g, 2) == reference_local_params(cycle_graph(64), 2)
+    assert g._adj is None
+    monkeypatch.setattr(graph_core, "MASK_BUDGET_BYTES", 512)
+    assert distance2_graph(g).adj == reference_distance2_graph(cycle_graph(64)).adj
+
+
+def test_kernels_agree_across_many_small_batches(monkeypatch):
+    # one word of roots per batch and one mask row per unpacking step, so
+    # graphs past 64 vertices run several batches
+    rng = random.Random(30)
+    graphs = [cycle_graph(129), complete_graph(70)]
+    graphs += [
+        SimpleGraph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        for n, p in ((65, 0.05), (128, 0.02), (129, 0.3))
+    ]
+    expected = [
+        (
+            reference_local_params(g, 3),
+            reference_local_params(g, 2, [5, 70 % g.n, 0, 64]),
+            reference_distance2_graph(g).adj,
+            graph_core.sphere_sizes(graph_core.neighbor_table(g)),
+        )
+        for g in graphs
+    ]
+    monkeypatch.setattr(graph_core, "_BATCH_BYTES", 1)
+    for g, (params, rooted, d2, sizes) in zip(graphs, expected):
+        for h in (g, table_twin(g, rng)):
+            assert graph_core.neighbor_table(h).tolist() == graph_core.neighbor_table(g).tolist()
+            assert local_params(h, 3) == params
+            assert local_params(h, 2, [5, 70 % g.n, 0, 64]) == rooted
+            assert distance2_graph(h).adj == d2
+            got = graph_core.sphere_sizes(graph_core.neighbor_table(h))
+            assert [s.tolist() for s in got] == [s.tolist() for s in sizes]

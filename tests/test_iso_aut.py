@@ -14,23 +14,25 @@ from cubequot import (
     build_quotient,
     halved_graphs,
     is_vertex_transitive,
+    min_distance,
     parse_group_text,
     triangular_graph,
     verify_isomorphism,
 )
 from cubequot.errors import NotBipartite, TooLarge
-from cubequot.graph_core import bits_of
+from cubequot.graph_core import bits_of, neighbor_table
 from cubequot.iso_aut import (
     _canonical_colors,
     _class_sizes,
     _individualize,
     _invariant_values,
-    _neighbor_table,
     _refine,
 )
 from cubequot.verify import _default_grid
 
 from conftest import QUATERNION_FILE, automorphism_generators, cube_graph, folded_cube_group
+from test_graph_core import kernel_graphs, table_twin
+from test_quotient import sweep_oracle_groups
 from test_perm_groups import chain_elements, group_from_generators
 
 
@@ -134,6 +136,73 @@ def test_verify_isomorphism_rejects_bad_mappings():
 # ---------------------------------------------------------------------------
 
 
+def reference_invariant_values(G):
+    """The former `_invariant_values`: one untruncated mask BFS per vertex."""
+    return [
+        (G.degree(v), tuple(m.bit_count() for m in G.bfs_level_masks(v)[1:]))
+        for v in range(G.n)
+    ]
+
+
+def reference_verify_isomorphism(G, H, mapping):
+    """The former `verify_isomorphism`: each neighbour mask walked bit by bit."""
+    n = G.n
+    if H.n != n or len(mapping) != n or sorted(mapping) != list(range(n)):
+        return False
+    for v in range(n):
+        m = 0
+        for w in bits_of(G.adj[v]):
+            m |= 1 << mapping[w]
+        if m != H.adj[mapping[v]]:
+            return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_graphs(), st.randoms(use_true_random=False))
+def test_invariant_values_equal_the_per_vertex_search(g, rng):
+    expected = reference_invariant_values(g)
+    for h in (g, table_twin(g, rng)):
+        assert _invariant_values(neighbor_table(h)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_graphs(), st.randoms(use_true_random=False))
+def test_table_check_rejects_a_swapped_pair_exactly_when_the_mask_check_does(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = g.relabeled(perm)
+    pairs = [(g, h), (table_twin(g, rng), table_twin(h, rng))]
+    for G, H in pairs:
+        assert verify_isomorphism(G, H, perm)
+    if g.n < 2:
+        return
+    for _ in range(4):
+        i, j = rng.sample(range(g.n), 2)
+        swapped = perm[:]
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        expected = reference_verify_isomorphism(g, h, swapped)
+        for G, H in pairs:
+            assert verify_isomorphism(G, H, swapped) == expected
+
+
+def test_table_check_on_quotients_with_repeated_rows():
+    # not semiregular: quotient rows hold repeats and the vertex's own id
+    rng = random.Random(7)
+    for K in [K for K in sweep_oracle_groups() if min_distance(K) < 2]:
+        G = build_quotient(K).graph
+        masks = SimpleGraph(G.n, G.adj, G.labels)
+        assert _invariant_values(neighbor_table(G)) == reference_invariant_values(masks)
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        H = masks.relabeled(perm)
+        assert verify_isomorphism(G, H, perm)
+        if G.n >= 2:
+            i, j = rng.sample(range(G.n), 2)
+            perm[i], perm[j] = perm[j], perm[i]
+            assert verify_isomorphism(G, H, perm) == reference_verify_isomorphism(masks, H, perm)
+
+
 def list_refine(nbrs, colors):
     """The former refinement: per-vertex sorted tuples of neighbor colors,
     ranked by sorted(set(signatures)), until a round splits no class."""
@@ -176,7 +245,7 @@ def reference_are_isomorphic(G, H):
         return []
     adj = list(G.adj) + [m << n for m in H.adj]
     nbrs = [list(bits_of(m)) for m in adj]
-    inv = _invariant_values(G) + _invariant_values(H)
+    inv = reference_invariant_values(G) + reference_invariant_values(H)
     if sorted(inv[:n]) != sorted(inv[n:]):
         return None
     colors0 = list_refine(nbrs, _canonical_colors(inv))
@@ -197,7 +266,7 @@ def reference_are_isomorphic(G, H):
                     mapping[mate[c]] = v - n
                 else:
                     mate[c] = v
-            return mapping if verify_isomorphism(G, H, mapping) else None
+            return mapping if reference_verify_isomorphism(G, H, mapping) else None
         members = [v for v in range(2 * n) if colors[v] == cell]
         v = members[0]  # smallest G-side vertex: classes are balanced
         for w in members:
@@ -274,7 +343,7 @@ def test_witnesses_equal_the_disjoint_union_search():
 
 def _starting_colorings(g, raw, v):
     """All-equal, invariant, arbitrary, and one vertex individualized."""
-    invariant = _canonical_colors(_invariant_values(g))
+    invariant = _canonical_colors(reference_invariant_values(g))
     refined = list_refine([g.neighbors(w) for w in range(g.n)], invariant)
     return [[0] * g.n, invariant, _canonical_colors(raw), _individualize(refined, v)]
 
@@ -291,7 +360,7 @@ def test_array_refine_equals_list_refine(data):
     raw = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n), label="raw")
     v = data.draw(st.integers(0, g.n - 1), label="v")
     nbrs = [g.neighbors(w) for w in range(g.n)]
-    table = _neighbor_table(g)
+    table = neighbor_table(g)
     for colors in _starting_colorings(g, raw, v):
         assert _refine(table, colors) == list_refine(nbrs, colors)
 
@@ -305,7 +374,7 @@ def test_array_refine_equals_list_refine_on_halves():
     for g in graphs:
         raw = [rng.randrange(3) for _ in range(g.n)]
         nbrs = [g.neighbors(w) for w in range(g.n)]
-        table = _neighbor_table(g)
+        table = neighbor_table(g)
         for colors in _starting_colorings(g, raw, rng.randrange(g.n)):
             assert _refine(table, colors) == list_refine(nbrs, colors)
 

@@ -24,12 +24,20 @@ from cubequot import (
 )
 from cubequot.cube_symmetry import _add_to_span, _translation_pivots, standard_generators
 from cubequot.errors import DimensionMismatch, DimensionTooLarge, GroupTooLarge, TooLarge
-from cubequot.graph_core import UNDEFINED, VACUOUS, local_params
+from cubequot.graph_core import (
+    UNDEFINED,
+    VACUOUS,
+    distance2_graph,
+    local_params,
+    neighbor_table,
+    sphere_sizes,
+)
 from cubequot.quotient import normalizing_translations, quotient_params, translation_roots
 from cubequot.verify import random_subgroup, sample_subgroups
 
 from conftest import QUATERNION_FILE, cube_graph, folded_cube_group
 from test_cube_symmetry import closed_elements, scan_min_distance
+from test_graph_core import reference_distance2_graph, reference_local_params
 
 
 def weight_vectors(n, w):
@@ -553,6 +561,25 @@ def test_export_leaves_masks_unbuilt(quaternion_group, folded8):
         assert G._adj is None
         G.bfs_level_masks(0)
         assert G._adj is not None
+
+
+@pytest.mark.parametrize(
+    "K", [K for K in sweep_oracle_groups() if min_distance(K) <= 2], ids=repr
+)
+def test_table_kernels_match_mask_oracles_on_degenerate_quotients(K):
+    # d_K <= 2: rows hold repeats, and below 2 the vertex's own id
+    G = build_quotient(K).graph
+    rows = [local_params(G, level) for level in (1, 2, 3)]
+    sizes = [s.tolist() for s in sphere_sizes(neighbor_table(G))]
+    assert G._adj is None  # the table kernels build no masks
+    masks = SimpleGraph(G.n, G.adj, G.labels)
+    assert rows == [reference_local_params(masks, level) for level in (1, 2, 3)]
+    assert distance2_graph(G).adj == reference_distance2_graph(masks).adj
+    for u in range(G.n):
+        spheres = masks.bfs_level_masks(u)
+        assert [s[u] for s in sizes] == [m.bit_count() for m in spheres] + [0] * (
+            len(sizes) - len(spheres)
+        )
 
 
 def test_trivial_quotient_of_q17_refuses_masks_before_building():
