@@ -23,7 +23,7 @@ from .errors import (
     QuadrangleAmbiguous,
     ReconstructionFailed,
 )
-from .graph_core import SimpleGraph, is_rectagraph
+from .graph_core import SimpleGraph, is_rectagraph, neighbor_table
 from .quotient import MAX_QUOTIENT_DIMENSION, image_tables
 
 
@@ -47,19 +47,24 @@ class CoveringMap:
 
 
 def verify_covering(c: CoveringMap) -> bool:
-    """Surjective and locally bijective at every cube vertex."""
+    """Surjective and locally bijective at every cube vertex.
+
+    The n neighbour images of every cube vertex are sorted at once and
+    compared with the target's table rows at its image: a row lists
+    distinct neighbours, so a repeated image fails the comparison.
+    """
+    import numpy as np
+
     n = c.n
-    image = c.image
-    adj = c.target.adj
-    if set(image) != set(range(c.target.n)):
+    table = neighbor_table(c.target)
+    if table.shape[1] != n or set(c.image) != set(range(c.target.n)):
         return False
-    for v in range(1 << n):
-        mask = 0
-        for i in range(n):
-            mask |= 1 << image[v ^ (1 << i)]
-        if mask.bit_count() != n or mask != adj[image[v]]:  # repeated or wrong neighbor images
-            return False
-    return True
+    image = np.array(c.image, dtype=np.intp)
+    near = np.empty((1 << n, n), dtype=np.int32)  # ids below V <= 2^n
+    for i in range(n):
+        near[:, i] = image[np.arange(1 << n) ^ (1 << i)]
+    near.sort(axis=1)
+    return all(np.array_equal(near[:, i], table[image, i]) for i in range(n))
 
 
 def _quadrangle_fourth(target: SimpleGraph, end1: int, mid: int, end2: int) -> int:

@@ -1,18 +1,17 @@
 """Finite simple graphs and the constructions around distance-2 structure.
 
-Vertices are 0..n-1. A graph holds its adjacency in one of two forms. Bit
-masks, one V-bit int per vertex (`SimpleGraph.adj`), keep single-start
-searches and common-neighbor counts cheap at the scales this package
-searches at (a few thousand vertices). A neighbour table, one row of
-neighbour ids per vertex, is what a quotient of the cube gives directly:
-its V rows have n entries each, where the masks cost V^2/8 bytes. A graph
-built from a table builds its masks on the first read of `adj`, and
-refuses with TooLarge when they would exceed MASK_BUDGET_BYTES. Export
-(`edges`, `to_json`, `to_dot`) reads one sorted edge array, and searches
-from many roots (`bfs_levels`, under `local_params`, `sphere_sizes` and
-`distance2_graph`) read the padded table of `neighbor_table`; a table
-gives both without any masks. Graphs are immutable after construction
-and all operations are pure.
+Vertices are 0..n-1. A graph holds its adjacency as one neighbour table
+(`neighbor_table`): row v lists v's neighbours ascending, padded with V to
+the largest degree. That is what a quotient of the cube gives directly, V
+rows of at most n entries, where V bit masks would cost V^2/8 bytes.
+Degrees, edges, export (`edges`, `to_json`, `to_dot`), the derived graphs
+(`induced`, `relabeled`, `distance2_graph`, `bipartite_double`) and the
+searches from many roots (`bfs_levels`, under `local_params`,
+`sphere_sizes` and `distance2_graph`) read the table. Bit masks, one V-bit
+int per vertex (`SimpleGraph.adj`), are built on first read for the
+single-start searches and the star cliques, and refused with TooLarge
+above MASK_BUDGET_BYTES. Graphs are immutable after construction and all
+operations are pure.
 
 Distance parameters follow the usual convention: for vertices u, v at
 distance i, c_i(u, v) counts neighbors of v at distance i-1 from u and
@@ -47,7 +46,7 @@ VACUOUS = _Sentinel("VACUOUS")
 
 ParamValue = Union[int, _Sentinel]
 
-# Largest adjacency-mask set a table-built graph builds: V^2/8 bytes for V
+# Largest adjacency-mask set a graph builds: V^2/8 bytes for V
 # vertices. The trivial quotient of Q_16 (512 MiB) fits; that of Q_17 does not.
 MASK_BUDGET_BYTES = 1 << 30
 
@@ -63,13 +62,14 @@ def bits_of(mask: int):
 class SimpleGraph:
     """Finite undirected graph without loops or multi-edges.
 
-    Built from bit masks (`__init__`, `from_edges` and the derived graphs)
-    or from a neighbour table (`_from_table`, used by quotients). A
-    table-built graph builds `adj` on first read; both kinds build their
-    sorted edge array on first use.
+    The adjacency is one neighbour table (see `neighbor_table`), normalised
+    when the graph is built: from bit masks (`__init__`), from an edge list
+    (`from_edges`), or from raw rows that may hold repeats and self-entries
+    (`_from_table`, used by quotients and derived graphs). The bit masks of
+    `adj` are a cache built from the table on first read.
     """
 
-    __slots__ = ("n", "labels", "_adj", "_table", "_edges")
+    __slots__ = ("n", "labels", "_table", "_adj")
 
     def __init__(self, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None):
         if len(adj) != n:
@@ -79,66 +79,51 @@ class SimpleGraph:
                 raise ValueError(f"adjacency of vertex {v} mentions vertices >= {n}")
             if (mask >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
+        keys = []
         for v in range(n):
             for w in bits_of(adj[v]):
                 if not (adj[w] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
+                keys.append(v * n + w)
         if labels is not None and len(labels) != n:
             raise ValueError("label count differs from vertex count")
-        self._fill(n, tuple(adj), None, labels)
-
-    @classmethod
-    def _unchecked(
-        cls, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None
-    ) -> "SimpleGraph":
-        """A graph the library derived from a valid one, built without the
-        checks of __init__; the symmetry check alone costs O(E * V / 64)."""
-        graph = object.__new__(cls)
-        graph._fill(n, tuple(adj), None, labels)
-        return graph
+        self._fill(_table_from_keys(n, keys), labels, tuple(adj))
 
     @classmethod
     def _from_table(cls, table, labels: Optional[Sequence[str]] = None) -> "SimpleGraph":
         """An unchecked graph from a V x d integer array: row v lists the
-        neighbours of v in any order, and may repeat one or hold v itself
-        (both are dropped). w is in row v exactly when v is in row w, w != v."""
-        graph = object.__new__(cls)
-        graph._fill(len(table), None, table, labels)
-        return graph
+        neighbours of v in any order, and may repeat one, hold v itself or
+        hold the pad V (all three are dropped). w is in row v exactly when v
+        is in row w, w != v."""
+        import numpy as np
 
-    def _fill(
-        self, n: int, adj: Optional[tuple[int, ...]], table, labels: Optional[Sequence[str]]
-    ) -> None:
-        object.__setattr__(self, "n", n)
+        n = len(table)
+        table = np.sort(table, axis=1).astype(np.intp, copy=False)
+        drop = table == np.arange(n)[:, None]
+        drop[:, 1:] |= table[:, 1:] == table[:, :-1]
+        # a sorted row holds the pad V only at its end
+        if drop.any() or not n or (table[:, -1:] >= n).any():
+            table[drop] = n
+            table.sort(axis=1)
+            # rows ascend, so column j holds a neighbour exactly when j < max degree
+            width = int(np.count_nonzero(table.min(axis=0, initial=n) < n))
+            table = np.ascontiguousarray(table[:, :width])
+        table.flags.writeable = False
+        return object.__new__(cls)._fill(table, labels)
+
+    def _fill(self, table, labels: Optional[Sequence[str]], adj=None) -> "SimpleGraph":
+        object.__setattr__(self, "n", len(table))
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
-        object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_edges", None)
+        object.__setattr__(self, "_adj", adj)
+        return self
 
     @property
     def adj(self) -> tuple[int, ...]:
-        """One bit mask per vertex; a table-built graph builds them on first read."""
+        """One bit mask per vertex, built from the table on first read."""
         if self._adj is None:
             object.__setattr__(self, "_adj", _masks_from_table(self._table))
         return self._adj
-
-    def _edge_array(self):
-        """The edges (u, v), u < v, as an (E, 2) int64 array in lexicographic
-        order, built on first use from the table if there is one, else from
-        the masks."""
-        if self._edges is None:
-            import numpy as np
-
-            if self._table is not None:
-                edges = _edges_from_table(self._table)
-            else:
-                flat: list[int] = []
-                for u, mask in enumerate(self._adj):
-                    for k in bits_of(mask >> (u + 1)):
-                        flat += (u, u + 1 + k)
-                edges = np.array(flat, dtype=np.int64).reshape(-1, 2)
-            object.__setattr__(self, "_edges", edges)
-        return self._edges
 
     def __setattr__(self, *_):
         raise AttributeError("SimpleGraph is immutable")
@@ -150,75 +135,81 @@ class SimpleGraph:
         edges: Iterable[tuple[int, int]],
         labels: Optional[Sequence[str]] = None,
     ) -> "SimpleGraph":
-        adj = [0] * n
+        """The graph on 0..n-1 with the given edges; a repeated edge counts once.
+
+        ValueError, naming the edge, for a loop or an end that is not an int
+        in 0..n-1 (a bool is no vertex id), and for a label count other than n.
+        """
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(f"vertex count {n!r} is not a non-negative int")
+        keys = []
         for u, v in edges:
+            for x in (u, v):
+                if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
+                    raise ValueError(f"edge {(u, v)!r}: {x!r} is not a vertex id in 0..{n - 1}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return cls(n, adj, labels)
+            keys += (u * n + v, v * n + u)
+        if labels is not None and len(labels) != n:
+            raise ValueError("label count differs from vertex count")
+        return object.__new__(cls)._fill(_table_from_keys(n, keys), labels)
 
     def neighbors(self, v: int) -> list[int]:
-        return list(bits_of(self.adj[v]))
+        row = self._table[v]
+        return row[row < self.n].tolist()
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
+        return 0 <= v < self.n and bool((self._table[u] == v).any())
 
     @property
     def edge_count(self) -> int:
-        return len(self._edge_array())
+        return sum(self.degrees()) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as sorted pairs in lexicographic order."""
-        return list(map(tuple, self._edge_array().tolist()))
+        return list(map(tuple, _edges_from_table(self._table).tolist()))
 
     def degrees(self) -> list[int]:
-        return [m.bit_count() for m in self.adj]
+        import numpy as np
+
+        return np.count_nonzero(self._table < self.n, axis=1).tolist()
 
     def is_regular(self) -> bool:
-        degs = self.degrees()
-        return all(d == degs[0] for d in degs)
+        return len(set(self.degrees())) <= 1
 
     def induced(self, vertices: Sequence[int]) -> "SimpleGraph":
         """Subgraph induced on the given vertices, relabeled in sorted order."""
+        import numpy as np
+
         verts = sorted(vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        keep = 0
-        for v in verts:
-            keep |= 1 << v
-        adj = []
-        for v in verts:
-            mask = 0
-            for w in bits_of(self.adj[v] & keep):
-                mask |= 1 << index[w]
-            adj.append(mask)
+        index = np.full(self.n + 1, len(verts), dtype=np.intp)  # others and the pad
+        index[verts] = np.arange(len(verts))
         labels = None
         if self.labels is not None:
             labels = [self.labels[v] for v in verts]
-        return SimpleGraph._unchecked(len(verts), adj, labels)
+        return SimpleGraph._from_table(index[self._table[verts]], labels)
 
     def relabeled(self, perm: Sequence[int]) -> "SimpleGraph":
         """Image under a vertex permutation: new index of v is perm[v].
 
         ValueError when perm is not a bijection of 0..n-1.
         """
+        import numpy as np
+
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"perm is not a bijection of 0..{self.n - 1}")
-        adj = [0] * self.n
-        for v in range(self.n):
-            mask = 0
-            for w in bits_of(self.adj[v]):
-                mask |= 1 << perm[w]
-            adj[perm[v]] = mask
+        moved = np.append(np.asarray(perm, dtype=np.intp), self.n)  # the pad stays
+        table = np.empty_like(self._table)
+        table[moved[:-1]] = moved[self._table]
         labels = None
         if self.labels is not None:
             labels = [""] * self.n
             for v in range(self.n):
                 labels[perm[v]] = self.labels[v]
-        return SimpleGraph._unchecked(self.n, adj, labels)
+        return SimpleGraph._from_table(table, labels)
 
     def bfs_level_masks(self, start: int, max_level: Optional[int] = None) -> list[int]:
         """Masks of the distance spheres around start, index = distance.
@@ -265,7 +256,7 @@ class SimpleGraph:
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        out: dict = {"n_vertices": self.n, "edges": self._edge_array().tolist()}
+        out: dict = {"n_vertices": self.n, "edges": _edges_from_table(self._table).tolist()}
         if self.labels is not None:
             out["labels"] = list(self.labels)
         return out
@@ -273,7 +264,8 @@ class SimpleGraph:
     def to_json(self) -> str:
         """`json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\\n"`,
         written directly: the json encoder runs in pure Python under indent."""
-        edges = _render_edges(self._edge_array(), "    [\n      %d,\n      %d\n    ]", ",\n")
+        item = "    [\n      %d,\n      %d\n    ]"
+        edges = _render_edges(_edges_from_table(self._table), item, ",\n")
         parts = ['{\n  "edges": ', _json_block(edges), ",\n"]
         if self.labels is not None:
             labels = ",\n".join(["    " + _json_string(lbl) for lbl in self.labels])
@@ -295,22 +287,24 @@ class SimpleGraph:
             lines += [f'  {v} [label="{lbl}"];' for v, lbl in enumerate(self.labels)]
         else:
             lines += [f"  {v};" for v in range(self.n)]
-        edges = _render_edges(self._edge_array(), "  %d -- %d;", "\n")
+        edges = _render_edges(_edges_from_table(self._table), "  %d -- %d;", "\n")
         if edges:
             lines.append(edges)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other) -> bool:
+        import numpy as np
+
         return (
             isinstance(other, SimpleGraph)
             and self.n == other.n
-            and self.adj == other.adj
             and self.labels == other.labels
+            and np.array_equal(self._table, other._table)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash((self.n, self._table.tobytes()))
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, m={self.edge_count})"
@@ -352,72 +346,56 @@ def _check_mask_budget(vertices: int) -> None:
 
 
 def _masks_from_table(table) -> tuple[int, ...]:
-    """Bit-mask rows of a neighbour table (see `SimpleGraph._from_table`),
-    refused before any row is built when over the budget."""
+    """Bit-mask rows of a neighbour table, refused before any row is built
+    when over the budget."""
     _check_mask_budget(len(table))
+    pad = 1 << len(table)
     adj = []
-    for a, row in enumerate(table.tolist()):
+    for row in table.tolist():
         mask = 0
         for b in row:
             mask |= 1 << b
-        adj.append(mask & ~(1 << a))
+        adj.append(mask & ~pad)
     return tuple(adj)
 
 
 def _edges_from_table(table):
-    """The sorted (E, 2) edge array of a neighbour table: each row sorted,
-    repeats and ids up to the row's own dropped. Rows come in u order and
-    row u gives the edges (u, v > u), so no global sort is needed."""
+    """The edges (u, v), u < v, of a neighbour table as an (E, 2) array in
+    lexicographic order. Rows come in u order, ascending, and row u gives
+    the edges (u, v > u), so no sort is needed."""
     import numpy as np
 
-    rows = np.sort(table, axis=1)
-    own = np.arange(len(rows), dtype=rows.dtype)[:, None]
-    keep = rows > own
-    keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
-    return np.stack((np.broadcast_to(own, rows.shape)[keep], rows[keep]), axis=1)
+    own = np.arange(len(table), dtype=table.dtype)[:, None]
+    keep = (table > own) & (table < len(table))
+    return np.stack((np.broadcast_to(own, table.shape)[keep], table[keep]), axis=1)
 
 
-# Size of one per-batch array of the all-roots runs and of the mask
-# unpacking in `neighbor_table`, in bytes: roots or rows are taken in
-# batches so that arrays of a byte (or a bit) per pair stay near it.
+def _table_from_keys(n: int, keys):
+    """The read-only neighbour table of the ordered pairs (u, v) =
+    divmod(key, n), in any order and with repeats; each pair's reverse must
+    be among them."""
+    import numpy as np
+
+    us, vs = np.divmod(np.unique(np.asarray(keys, dtype=np.intp)), max(n, 1))
+    degs = np.bincount(us, minlength=n)
+    table = np.full((n, int(degs.max(initial=0))), n, dtype=np.intp)
+    starts = np.cumsum(degs) - degs
+    table[us, np.arange(len(us)) - starts[us]] = vs
+    table.flags.writeable = False
+    return table
+
+
+# Size of one per-batch array of the all-roots runs and of the unpacking in
+# `distance2_graph`, in bytes: roots or rows are taken in batches so that
+# arrays of a byte (or a bit) per pair stay near it.
 _BATCH_BYTES = 1 << 15
 
 
 def neighbor_table(G: SimpleGraph):
-    """G's neighbours as a V x max-degree intp array: row v lists the distinct
-    neighbours of v ascending, padded with V.
-
-    A table-built graph sorts its own table and pads out repeats and
-    self-entries; a mask-built one unpacks its masks, a batch of rows at a
-    time.
-    """
-    import numpy as np
-
-    n = G.n
-    if G._table is None:
-        degs = np.array([mask.bit_count() for mask in G._adj], dtype=np.intp)
-        table = np.full((n, int(degs.max(initial=0))), n, dtype=np.intp)
-        size = (n + 7) // 8
-        step = max(1, _BATCH_BYTES // max(n, 1))
-        for lo in range(0, n, step):
-            masks = G._adj[lo : lo + step]
-            raw = b"".join([mask.to_bytes(size, "little") for mask in masks])
-            packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), size)
-            bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-            rows, cols = np.divmod(np.flatnonzero(bits.view(bool)), n)
-            row_degs = degs[lo : lo + step]
-            starts = np.cumsum(row_degs) - row_degs
-            table[lo + rows, np.arange(len(cols)) - starts[rows]] = cols
-        return table
-    table = np.sort(G._table, axis=1).astype(np.intp, copy=False)
-    drop = table == np.arange(n)[:, None]
-    drop[:, 1:] |= table[:, 1:] == table[:, :-1]
-    if drop.any() or not n:
-        table[drop] = n
-        table.sort(axis=1)
-        width = int((table < n).sum(axis=1).max(initial=0))
-        table = np.ascontiguousarray(table[:, :width])
-    return table
+    """G's neighbours as a read-only V x max-degree intp array: row v lists
+    the neighbours of v ascending, padded with V. It is the graph's own
+    adjacency, not a copy."""
+    return G._table
 
 
 def _root_batches(roots: Sequence[int], vertices: int, bits_per_pair: int):
@@ -593,8 +571,7 @@ def local_params(
     The roots run through `bfs_levels` in batches. Each batch becomes a
     V x R array of distances (-1 beyond max_level), and c_i(u, v) and
     a_i(u, v) are counted over v's neighbour-table row at once for all
-    pairs; degrees come from the same table, so a table-built graph builds
-    no masks.
+    pairs; degrees come from the same table.
     """
     import numpy as np
 
@@ -664,25 +641,32 @@ def distance2_graph(G: SimpleGraph) -> SimpleGraph:
     """Same vertex set; adjacency at distance exactly 2 in G.
 
     Level 2 of `bfs_levels` from every vertex: by symmetry of distance, row
-    v of it is v's mask. TooLarge when the V^2/8 bytes of masks exceed
-    MASK_BUDGET_BYTES.
+    v of it holds the vertices at distance 2 from v. Its V x ceil(V/64)
+    words are unpacked into the output's table a batch of rows at a time.
+    TooLarge when those V^2/8 bytes exceed MASK_BUDGET_BYTES.
     """
     import numpy as np
 
     n = G.n
     _check_mask_budget(n)
-    table = neighbor_table(G)
     words = -(-n // 64)
     rows = np.zeros((n, words), dtype=np.uint64)
     for batch in _root_batches(range(n), n, 1):
-        levels = list(bfs_levels(table, batch, 2))
+        levels = list(bfs_levels(G._table, batch, 2))
         if len(levels) == 3:
             first = batch.start >> 6
             rows[:, first : first + levels[2].shape[1]] = levels[2]
-    raw = rows.astype("<u8", copy=False).tobytes()
-    size = 8 * words
-    adj = [int.from_bytes(raw[v * size : (v + 1) * size], "little") for v in range(n)]
-    return SimpleGraph._unchecked(n, adj, G.labels)
+    degs = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
+    table = np.full((n, int(degs.max(initial=0))), n, dtype=np.intp)
+    raw = rows.astype("<u8", copy=False).view(np.uint8)
+    step = max(1, _BATCH_BYTES // max(n, 1))
+    for lo in range(0, n, step):
+        bits = np.unpackbits(raw[lo : lo + step], axis=1, count=n, bitorder="little")
+        near, far = np.nonzero(bits)
+        starts = np.cumsum(degs[lo : lo + step]) - degs[lo : lo + step]
+        table[lo + near, np.arange(len(far)) - starts[near]] = far
+    table.flags.writeable = False
+    return object.__new__(SimpleGraph)._fill(table, G.labels)
 
 
 def bipartite_parts(G: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -730,15 +714,16 @@ def bipartite_double(G: SimpleGraph) -> SimpleGraph:
 
     Vertex (u, a) is numbered u + a * G.n.
     """
+    import numpy as np
+
     n = G.n
-    adj = [0] * (2 * n)
-    for u in range(n):
-        adj[u] = G.adj[u] << n
-        adj[u + n] = G.adj[u]
+    inside = G._table < n
+    rows_0 = np.where(inside, G._table + n, 2 * n)  # 2n is the double's pad
+    rows_1 = np.where(inside, G._table, 2 * n)
     labels = None
     if G.labels is not None:
         labels = [f"{lbl}|0" for lbl in G.labels] + [f"{lbl}|1" for lbl in G.labels]
-    return SimpleGraph._unchecked(2 * n, adj, labels)
+    return SimpleGraph._from_table(np.concatenate((rows_0, rows_1)), labels)
 
 
 def is_locally(G: SimpleGraph, target: SimpleGraph) -> bool:

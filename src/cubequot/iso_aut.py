@@ -1,8 +1,8 @@
 """Graph isomorphism, automorphism groups, and vertex-transitivity.
 
 One individualization-refinement search serves both questions. Both run on
-the graph's neighbour table (`graph_core.neighbor_table`), built once per
-graph. Vertices are colored by an isomorphism-invariant signature (degree
+the graph's neighbour table (`graph_core.neighbor_table`), its one stored
+adjacency. Vertices are colored by an isomorphism-invariant signature (degree
 plus distance-sphere profile, counted from one breadth-first search from
 every vertex at once, `graph_core.bfs_levels`), the coloring is refined to
 equitability by iterated neighbor-color multisets (one row sort of an
@@ -332,9 +332,7 @@ def are_isomorphic(G: SimpleGraph, H: SimpleGraph) -> Optional[list[int]]:
     """
     if max(G.n, H.n) > MAX_ISO_VERTICES:
         raise TooLarge(f"isomorphism search capped at {MAX_ISO_VERTICES} vertices")
-    if G.n != H.n or G.edge_count != H.edge_count:
-        return None
-    if sorted(G.degrees()) != sorted(H.degrees()):
+    if G.n != H.n or sorted(G.degrees()) != sorted(H.degrees()):
         return None
     n = G.n
     if n == 0:

@@ -12,10 +12,8 @@ Distinct orbits are adjacent whenever some member of one is cube-adjacent
 to a member of the other; loops are discarded. K acts by cube
 automorphisms, so the neighbours of g(r) lie in the orbits of the
 neighbours of r, and the adjacency is read off the n cube neighbours of
-each representative alone. The graph keeps that V x n table of neighbour
-orbit ids: JSON and DOT export and the distance parameters read it
-directly, and the adjacency bit masks that `sphere` and halves need are
-built on their first use (see `graph_core`).
+each representative alone. That V x n table of neighbour orbit ids,
+normalised, is the graph's adjacency (see `graph_core`).
 Semiregularity is not required, so degenerate quotients can be built and
 inspected.
 

@@ -49,6 +49,22 @@ def from_json(n: int, target: SimpleGraph, text: str) -> CoveringMap:
     return CoveringMap(n, target, json.loads(text))
 
 
+def reference_verify_covering(c: CoveringMap) -> bool:
+    """The former `verify_covering`: each vertex's neighbour images as a mask."""
+    n = c.n
+    image = c.image
+    adj = c.target.adj
+    if set(image) != set(range(c.target.n)):
+        return False
+    for v in range(1 << n):
+        mask = 0
+        for i in range(n):
+            mask |= 1 << image[v ^ (1 << i)]
+        if mask.bit_count() != n or mask != adj[image[v]]:  # repeated or wrong neighbor images
+            return False
+    return True
+
+
 def reference_lift(target, base=0, neighbor_order=None):
     """The lift that assigns images in weight order and checks every bit pair
     of each vertex against the first, then the whole map."""
@@ -128,6 +144,41 @@ def test_natural_map_covering_iff_distance_three():
         for K in sample_subgroups(n, 8, random.Random(f"cov:{n}")):
             Q = build_quotient(K)
             assert verify_covering(natural_covering(Q)) == (min_distance(K) >= 3)
+
+
+def covering_cases():
+    """Natural maps of random groups (d_K from 0 to 4: repeats and
+    self-entries in the quotient's rows below 3) and of groups with d_K >= 3,
+    the non-regular covering, and each with two image entries of different
+    vertices swapped."""
+    cases = [CoveringMap(6, cocktail_party_8(), NON_REGULAR_IMAGE)]
+    for n in (4, 5, 6, 8):
+        groups = sample_subgroups(n, 6, random.Random(f"verify:{n}"))
+        groups += sample_groups_with_min_distance(n, 3, 2, random.Random(f"verify:{n}"))
+        cases += [natural_covering(build_quotient(K)) for K in groups]
+    rng = random.Random(31)
+    for c in list(cases):
+        image = list(c.image)
+        u = rng.randrange(len(image))
+        w = next(w for w in range(len(image)) if image[w] != image[u])
+        image[u], image[w] = image[w], image[u]
+        cases.append(CoveringMap(c.n, c.target, image))
+    return cases
+
+
+def test_verify_covering_equals_the_mask_check():
+    verdicts = [verify_covering(c) for c in covering_cases()]
+    assert verdicts == [reference_verify_covering(c) for c in covering_cases()]
+    half = len(verdicts) // 2
+    assert any(verdicts[:half]) and not all(verdicts[:half])
+    assert not any(verdicts[half:])  # every swap breaks the covering
+
+
+def test_verify_covering_refuses_images_outside_the_target():
+    g = cube_graph(2)
+    for image in ([0, 1, 2, 4], [0, 1, 2, -1], [0, 1, 2, 2]):
+        c = CoveringMap(2, g, image)
+        assert verify_covering(c) is False and reference_verify_covering(c) is False
 
 
 def test_natural_map_distance_two_not_covering():
@@ -288,9 +339,12 @@ def test_deck_group_generators_are_the_greedy_pick(quaternion_group):
         assert D.order == K.order and same_group_as(D, K)
 
 
+def cocktail_party_8() -> SimpleGraph:
+    return SimpleGraph.from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if u ^ v > 1])
+
+
 def test_deck_group_refuses_a_non_regular_covering():
-    G = SimpleGraph.from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if u ^ v > 1])
-    cover = CoveringMap(6, G, NON_REGULAR_IMAGE)
+    cover = CoveringMap(6, cocktail_party_8(), NON_REGULAR_IMAGE)
     assert verify_covering(cover)
     with pytest.raises(ReconstructionFailed, match="y=0xe moves vertex 0x3 across fibers"):
         deck_group(cover)

@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import re
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -57,6 +59,28 @@ def test_graph_construction_rejects_loops_and_asymmetry():
         SimpleGraph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         SimpleGraph(2, [0b10, 0b00])
+
+
+@pytest.mark.parametrize("edge", [(0, 5), (-1, 0), (0, 1.0), (True, 2), (0, "1"), (0, None)])
+def test_from_edges_names_a_bad_edge_before_allocating(edge):
+    with pytest.raises(ValueError, match=re.escape(f"edge {edge!r}")):
+        SimpleGraph.from_edges(3, [(0, 1), edge])
+    # the check comes before any per-vertex array: a million vertices cost nothing
+    big = (0, 10**6) if edge == (0, 5) else edge
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"edge {big!r}")):
+            SimpleGraph.from_edges(10**6, [big])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, True, "3"])
+def test_from_edges_refuses_a_bad_vertex_count(n):
+    with pytest.raises(ValueError, match="vertex count"):
+        SimpleGraph.from_edges(n, [])
 
 
 @pytest.mark.parametrize("perm", [[3, 2, 1], [0, 1, 2, 5], [0, 0, 1, 2]])
@@ -649,7 +673,61 @@ def reference_distance2_graph(G):
         mask &= ~G.adj[v]
         mask &= ~(1 << v)
         adj.append(mask)
-    return SimpleGraph._unchecked(G.n, adj, G.labels)
+    return SimpleGraph(G.n, adj, G.labels)
+
+
+def reference_induced(G, vertices):
+    """The former `SimpleGraph.induced`, on the masks."""
+    verts = sorted(vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    keep = 0
+    for v in verts:
+        keep |= 1 << v
+    adj = []
+    for v in verts:
+        mask = 0
+        for w in graph_core.bits_of(G.adj[v] & keep):
+            mask |= 1 << index[w]
+        adj.append(mask)
+    labels = None
+    if G.labels is not None:
+        labels = [G.labels[v] for v in verts]
+    return SimpleGraph(len(verts), adj, labels)
+
+
+def reference_relabeled(G, perm):
+    """The former `SimpleGraph.relabeled`, on the masks."""
+    adj = [0] * G.n
+    for v in range(G.n):
+        mask = 0
+        for w in graph_core.bits_of(G.adj[v]):
+            mask |= 1 << perm[w]
+        adj[perm[v]] = mask
+    labels = None
+    if G.labels is not None:
+        labels = [""] * G.n
+        for v in range(G.n):
+            labels[perm[v]] = G.labels[v]
+    return SimpleGraph(G.n, adj, labels)
+
+
+def reference_bipartite_double(G):
+    """The former `bipartite_double`, on the masks."""
+    n = G.n
+    adj = [0] * (2 * n)
+    for u in range(n):
+        adj[u] = G.adj[u] << n
+        adj[u + n] = G.adj[u]
+    labels = None
+    if G.labels is not None:
+        labels = [f"{lbl}|0" for lbl in G.labels] + [f"{lbl}|1" for lbl in G.labels]
+    return SimpleGraph(2 * n, adj, labels)
+
+
+def assert_same_graph(got, expected):
+    assert got == expected and got.labels == expected.labels
+    assert hash(got) == hash(expected)
+    assert got.adj == expected.adj
 
 
 # on both sides of one and two 64-bit words of roots
@@ -681,7 +759,8 @@ def kernel_graphs(draw):
             start += len(piece)
     else:
         edges = []
-    return SimpleGraph.from_edges(n, edges)
+    labels = [f"v{v}" for v in range(n)] if draw(st.booleans(), label="labelled") else None
+    return SimpleGraph.from_edges(n, edges, labels)
 
 
 def nx_distances(g):
@@ -720,8 +799,40 @@ def test_local_params_equals_the_per_root_mask_search(g, rng):
 def test_distance2_graph_equals_the_mask_loop(g, rng):
     expected = reference_distance2_graph(g)
     for h in (g, table_twin(g, rng)):
-        d2 = distance2_graph(h)
-        assert d2.adj == expected.adj and d2.labels == expected.labels
+        assert_same_graph(distance2_graph(h), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_graphs(), st.randoms(use_true_random=False))
+def test_table_gathers_equal_the_mask_oracles(g, rng):
+    subset = [v for v in range(g.n) if rng.random() < 0.6]
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    for h in (g, table_twin(g, rng)):
+        assert_same_graph(h.induced(subset), reference_induced(g, subset))
+        assert_same_graph(h.relabeled(perm), reference_relabeled(g, perm))
+        assert_same_graph(bipartite_double(h), reference_bipartite_double(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_graphs(), st.randoms(use_true_random=False))
+def test_every_construction_gives_one_table(g, rng):
+    # masks, an edge list, a shuffled table with repeats and self-entries,
+    # and the identity relabelling all normalise to the same table
+    twin = table_twin(g, rng)
+    edges = g.edges()
+    rng.shuffle(edges)
+    built = [
+        SimpleGraph(g.n, g.adj, g.labels),
+        SimpleGraph.from_edges(g.n, edges + [(v, u) for u, v in edges], g.labels),
+        twin,
+        twin.relabeled(list(range(g.n))),
+    ]
+    for h in built:
+        assert_same_graph(h, g)
+        table = graph_core.neighbor_table(h)
+        assert table.tolist() == graph_core.neighbor_table(g).tolist()
+        assert not table.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -765,18 +876,19 @@ def test_distance2_graph_checks_the_mask_budget_first(monkeypatch):
     # its output is V masks of V bits, 64^2 / 8 = 512 bytes here; local
     # parameters batch their roots and need no budget
     g = table_twin(cycle_graph(64), random.Random(1))
+    expected = reference_local_params(cycle_graph(64), 2)
     monkeypatch.setattr(graph_core, "MASK_BUDGET_BYTES", 511)
     with pytest.raises(TooLarge):
         distance2_graph(g)
-    assert local_params(g, 2) == reference_local_params(cycle_graph(64), 2)
+    assert local_params(g, 2) == expected
     assert g._adj is None
     monkeypatch.setattr(graph_core, "MASK_BUDGET_BYTES", 512)
     assert distance2_graph(g).adj == reference_distance2_graph(cycle_graph(64)).adj
 
 
 def test_kernels_agree_across_many_small_batches(monkeypatch):
-    # one word of roots per batch and one mask row per unpacking step, so
-    # graphs past 64 vertices run several batches
+    # one word of roots per batch, so graphs past 64 vertices run several
+    # batches
     rng = random.Random(30)
     graphs = [cycle_graph(129), complete_graph(70)]
     graphs += [

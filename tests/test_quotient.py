@@ -14,6 +14,7 @@ from cubequot import (
     CubeGroup,
     Permutation,
     SimpleGraph,
+    bipartite_double,
     build_quotient,
     generate_group,
     min_distance,
@@ -37,7 +38,14 @@ from cubequot.verify import random_subgroup, sample_subgroups
 
 from conftest import QUATERNION_FILE, cube_graph, folded_cube_group
 from test_cube_symmetry import closed_elements, scan_min_distance
-from test_graph_core import reference_distance2_graph, reference_local_params
+from test_graph_core import (
+    assert_same_graph,
+    reference_bipartite_double,
+    reference_distance2_graph,
+    reference_induced,
+    reference_local_params,
+    reference_relabeled,
+)
 
 
 def weight_vectors(n, w):
@@ -540,7 +548,7 @@ def test_table_export_matches_mask_path(K):
     G = build_quotient(K).graph
     table_outputs = export_outputs(G)
     masks = SimpleGraph(G.n, G.adj, G.labels)
-    assert masks._table is None
+    assert masks == G and hash(masks) == hash(G)
     assert table_outputs == export_outputs(masks)
 
 
@@ -574,7 +582,13 @@ def test_table_kernels_match_mask_oracles_on_degenerate_quotients(K):
     assert G._adj is None  # the table kernels build no masks
     masks = SimpleGraph(G.n, G.adj, G.labels)
     assert rows == [reference_local_params(masks, level) for level in (1, 2, 3)]
-    assert distance2_graph(G).adj == reference_distance2_graph(masks).adj
+    assert_same_graph(distance2_graph(G), reference_distance2_graph(masks))
+    subset = list(range(0, G.n, 2))
+    perm = list(range(G.n))
+    random.Random(G.n).shuffle(perm)
+    assert_same_graph(G.induced(subset), reference_induced(masks, subset))
+    assert_same_graph(G.relabeled(perm), reference_relabeled(masks, perm))
+    assert_same_graph(bipartite_double(G), reference_bipartite_double(masks))
     for u in range(G.n):
         spheres = masks.bfs_level_masks(u)
         assert [s[u] for s in sizes] == [m.bit_count() for m in spheres] + [0] * (
@@ -595,6 +609,16 @@ def test_trivial_quotient_of_q17_refuses_masks_before_building():
     assert peak < 1 << 20
     assert Q.graph._adj is None
     assert Q.graph.edge_count == 17 << 16
+
+
+def test_trivial_quotient_of_q17_answers_from_its_table():
+    # identity, degrees, neighbours and edges read the table, not the masks
+    G = build_quotient(CubeGroup.trivial(17)).graph
+    assert hash(G) == hash(G) and G == G
+    assert G.degree(0) == 17 and G.is_regular()
+    assert G.neighbors(5) == sorted(5 ^ (1 << i) for i in range(17))
+    assert G.has_edge(5, 4) and not G.has_edge(5, 6)
+    assert G._adj is None
 
 
 def check_matrix_code(n, r):

@@ -118,8 +118,8 @@ def test_import_cubequot_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
-def names_by_scope(tree):
-    """(qualified function or class, name) for every name a module reads."""
+def nodes_by_scope(tree):
+    """(qualified function or class, node) for every node of a module."""
     stack = [(tree, "")]
     while stack:
         node, scope = stack.pop()
@@ -127,11 +127,17 @@ def names_by_scope(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 stack.append((child, f"{scope}.{child.name}".lstrip(".")))
                 continue
-            if isinstance(child, ast.Name):
-                yield scope, child.id
-            elif isinstance(child, ast.Attribute):
-                yield scope, child.attr
+            yield scope, child
             stack.append((child, scope))
+
+
+def names_by_scope(tree):
+    """(qualified function or class, name) for every name a module reads."""
+    for scope, node in nodes_by_scope(tree):
+        if isinstance(node, ast.Name):
+            yield scope, node.id
+        elif isinstance(node, ast.Attribute):
+            yield scope, node.attr
 
 
 def test_element_lists_are_built_only_in_cube_group_elements():
@@ -172,3 +178,23 @@ def test_signed_coordinate_schreier_sims_stays_in_cube_symmetry():
             if name in ("_GroupBuilder", "_monomial_perm"):
                 found.add(path.name)
     assert found == {"cube_symmetry.py"}
+
+
+def test_adjacency_masks_are_read_only_by_the_mask_algorithms():
+    # a graph's adjacency is its neighbour table, and the bit masks of `adj`
+    # are a cache for the algorithms that still walk bits: the single-start
+    # BFS, the bipartition walk, the star cliques and the quadrangle completion
+    readers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for scope, node in nodes_by_scope(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("adj", "_adj"):
+                readers.add((path.name, scope))
+    assert readers == {
+        ("graph_core.py", "SimpleGraph.adj"),
+        ("graph_core.py", "SimpleGraph.bfs_level_masks"),
+        ("graph_core.py", "bipartite_parts"),
+        ("graph_core.py", "triangular_labels"),
+        ("graph_core.py", "is_locally_triangular"),
+        ("covering.py", "_quadrangle_fourth"),
+    }
