@@ -67,15 +67,16 @@ def verify_covering(c: CoveringMap) -> bool:
     return all(np.array_equal(near[:, i], table[image, i]) for i in range(n))
 
 
-def _quadrangle_fourth(target: SimpleGraph, end1: int, mid: int, end2: int) -> int:
-    """The unique vertex completing the 2-path end1 - mid - end2 to a quadrangle."""
-    common = target.adj[end1] & target.adj[end2] & ~(1 << mid)
-    k = common.bit_count()
-    if k != 1:
+def _quadrangle_fourth(rows: Sequence[set], end1: int, mid: int, end2: int) -> int:
+    """The unique vertex completing the 2-path end1 - mid - end2 to a
+    quadrangle; rows[v] is the set of neighbours of v."""
+    common = rows[end1] & rows[end2]
+    common.discard(mid)
+    if len(common) != 1:
         raise QuadrangleAmbiguous(
-            f"2-path ({end1}, {mid}, {end2}) has {k} completing vertices, expected 1"
+            f"2-path ({end1}, {mid}, {end2}) has {len(common)} completing vertices, expected 1"
         )
-    return common.bit_length() - 1
+    return common.pop()
 
 
 def lift_covering(
@@ -111,6 +112,7 @@ def lift_covering(
     if sorted(neighbor_order) != nbrs:
         raise ValueError("neighbor_order must list the neighbors of base exactly")
 
+    rows = [set(row) for row in neighbor_table(target).tolist()]  # regular: no pad
     size = 1 << n
     image = [base] * size
     for i in range(n):
@@ -121,7 +123,7 @@ def lift_covering(
         lsb = y & -y
         rest = y ^ lsb
         second = rest & -rest
-        image[y] = _quadrangle_fourth(target, image[y ^ second], image[rest ^ second], image[rest])
+        image[y] = _quadrangle_fourth(rows, image[y ^ second], image[rest ^ second], image[rest])
     cover = CoveringMap(n, target, image)
     if not verify_covering(cover):
         raise InconsistentLift("constructed map is not a covering")

@@ -4,14 +4,12 @@ Vertices are 0..n-1. A graph holds its adjacency as one neighbour table
 (`neighbor_table`): row v lists v's neighbours ascending, padded with V to
 the largest degree. That is what a quotient of the cube gives directly, V
 rows of at most n entries, where V bit masks would cost V^2/8 bytes.
-Degrees, edges, export (`edges`, `to_json`, `to_dot`), the derived graphs
-(`induced`, `relabeled`, `distance2_graph`, `bipartite_double`) and the
-searches from many roots (`bfs_levels`, under `local_params`,
-`sphere_sizes` and `distance2_graph`) read the table. Bit masks, one V-bit
-int per vertex (`SimpleGraph.adj`), are built on first read for the
-single-start searches and the star cliques, and refused with TooLarge
-above MASK_BUDGET_BYTES. Graphs are immutable after construction and all
-operations are pure.
+Every algorithm reads the table, and every search, from one root or
+many, runs the one BFS kernel `bfs_levels`. The star-clique test builds
+bit masks of each neighbourhood alone; masks of the whole graph
+(`SimpleGraph.adj`) are a view for outside readers, refused with
+TooLarge above MASK_BUDGET_BYTES. Graphs are immutable after
+construction and all operations are pure.
 
 Distance parameters follow the usual convention: for vertices u, v at
 distance i, c_i(u, v) counts neighbors of v at distance i-1 from u and
@@ -29,6 +27,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BadDimension, NotBipartite, NotConnected, PreconditionViolated, TooLarge
+from .perm_groups import orbit_minima
 
 
 class _Sentinel:
@@ -65,8 +64,9 @@ class SimpleGraph:
     The adjacency is one neighbour table (see `neighbor_table`), normalised
     when the graph is built: from bit masks (`__init__`), from an edge list
     (`from_edges`), or from raw rows that may hold repeats and self-entries
-    (`_from_table`, used by quotients and derived graphs). The bit masks of
-    `adj` are a cache built from the table on first read.
+    (`_from_table`, used by quotients and derived graphs). The bit masks
+    of `adj` are a view for outside readers, cached on first read. A
+    vertex id that is not an int in 0..n-1 (or is a bool) raises ValueError.
     """
 
     __slots__ = ("n", "labels", "_table", "_adj")
@@ -155,14 +155,14 @@ class SimpleGraph:
         return object.__new__(cls)._fill(_table_from_keys(n, keys), labels)
 
     def neighbors(self, v: int) -> list[int]:
-        row = self._table[v]
+        row = self._table[_vertex(self.n, v)]
         return row[row < self.n].tolist()
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= v < self.n and bool((self._table[u] == v).any())
+        return bool((self._table[_vertex(self.n, u)] == _vertex(self.n, v)).any())
 
     @property
     def edge_count(self) -> int:
@@ -214,44 +214,26 @@ class SimpleGraph:
     def bfs_level_masks(self, start: int, max_level: Optional[int] = None) -> list[int]:
         """Masks of the distance spheres around start, index = distance.
 
-        A single-start traversal over the masks; searches from many roots
-        run `bfs_levels` over a neighbour table. With max_level set, the
-        search stops after that level, so the list has at most max_level + 1
-        masks; a shorter list means the spheres beyond it are empty.
+        A view on `bfs_levels` from one root that no algorithm calls; it
+        stays because the benchmark's traced run wraps it by name. With
+        max_level set, the list has at most max_level + 1 masks; a shorter
+        list means the spheres beyond it are empty.
         """
-        levels = [1 << start]
-        seen = 1 << start
-        frontier = 1 << start
-        adj = self.adj
-        while max_level is None or len(levels) <= max_level:
-            nxt = 0
-            for v in bits_of(frontier):
-                nxt |= adj[v]
-            nxt &= ~seen
-            if not nxt:
-                break
-            levels.append(nxt)
-            seen |= nxt
-            frontier = nxt
-        return levels
+        levels = bfs_levels(self._table, [_vertex(self.n, start)], max_level)
+        return [_masks_from_rows(level.nonzero()[0][None, :], self.n)[0] for level in levels]
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return sum(m.bit_count() for m in self.bfs_level_masks(0)) == self.n
+        return self.n == 0 or bool((_distances(self, 0)[:-1] >= 0).all())
 
     def connected_components(self) -> list[list[int]]:
-        seen = 0
-        comps = []
-        for v in range(self.n):
-            if (seen >> v) & 1:
-                continue
-            mask = 0
-            for lvl in self.bfs_level_masks(v):
-                mask |= lvl
-            seen |= mask
-            comps.append(list(bits_of(mask)))
-        return comps
+        """Components ascending, by least vertex: the orbit minima of the
+        table's columns, with the pad mapped to the row's own vertex."""
+        import numpy as np
+
+        own = np.arange(self.n)[:, None]
+        rep = orbit_minima(np.where(self._table < self.n, self._table, own).T)
+        order = np.argsort(rep, kind="stable")
+        return [c.tolist() for c in np.split(order, np.flatnonzero(np.diff(rep[order])) + 1) if len(c)]
 
     # -- serialization ------------------------------------------------
 
@@ -334,6 +316,13 @@ def _render_edges(edges, item: str, sep: str) -> str:
     return sep.join(out)
 
 
+def _vertex(n: int, v, what: str = "vertex") -> int:
+    """v if it is an int in 0..n-1, not a bool; ValueError naming it otherwise."""
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+        raise ValueError(f"{what} {v!r} is not a vertex id in 0..{n - 1}")
+    return v
+
+
 def _check_mask_budget(vertices: int) -> None:
     """TooLarge when the masks of that many vertices, V^2/8 bytes, exceed
     MASK_BUDGET_BYTES."""
@@ -349,14 +338,23 @@ def _masks_from_table(table) -> tuple[int, ...]:
     """Bit-mask rows of a neighbour table, refused before any row is built
     when over the budget."""
     _check_mask_budget(len(table))
-    pad = 1 << len(table)
-    adj = []
-    for row in table.tolist():
-        mask = 0
-        for b in row:
-            mask |= 1 << b
-        adj.append(mask & ~pad)
-    return tuple(adj)
+    return _masks_from_rows(table, len(table))
+
+
+def _masks_from_rows(rows, size: int) -> tuple[int, ...]:
+    """One mask per row of an int array, its entries below `size` the set
+    bits (larger ones are a pad), packed a batch of rows at a time."""
+    import numpy as np
+
+    masks: list[int] = []
+    step = max(1, _BATCH_BYTES // (size + 1))
+    for lo in range(0, len(rows), step):
+        batch = rows[lo : lo + step]
+        bits = np.zeros((len(batch), size + 1), dtype=bool)  # column `size` takes the pad
+        bits[np.arange(len(batch))[:, None], np.minimum(batch, size)] = True
+        packed = np.packbits(bits[:, :size], axis=1, bitorder="little")
+        masks += map(int.from_bytes, packed, ["little"] * len(packed))
+    return tuple(masks)
 
 
 def _edges_from_table(table):
@@ -417,7 +415,8 @@ def bfs_levels(table, roots: Sequence[int], max_level: Optional[int] = None):
     neighbour rows, less every bit reached so far. The search stops after
     max_level, or before the first empty level. A yielded array is never
     written to again. Each level takes R*V/8 bytes, so callers that search
-    from every vertex pass the roots in batches (`_root_batches`).
+    from every vertex pass the roots in batches (`_root_batches`). A root
+    outside 0..V-1 would seed the pad row, so callers check theirs.
     """
     import numpy as np
 
@@ -466,6 +465,17 @@ def sphere_sizes(table, max_level: Optional[int] = None) -> list:
     return sizes
 
 
+def _distances(G: SimpleGraph, start: int, max_level: Optional[int] = None):
+    """Distances from start by `bfs_levels`, V + 1 ints with -1 beyond
+    max_level, out of reach and at the pad; ValueError for a bad start."""
+    import numpy as np
+
+    dist = np.full(G.n + 1, -1, dtype=np.intp)
+    for k, level in enumerate(bfs_levels(G._table, [_vertex(G.n, start)], max_level)):
+        dist[level.nonzero()[0]] = k
+    return dist
+
+
 @dataclass(frozen=True)
 class LocalParams:
     """Distance parameters at one level, graph regularity alongside."""
@@ -492,10 +502,10 @@ def triangular_graph(n: int) -> SimpleGraph:
     return SimpleGraph.from_edges(len(subsets), edges, labels)
 
 
-def _star_labels(adj: Sequence[int], M: int, m: int) -> Optional[list[tuple[int, int]]]:
-    """Labels of the vertices of mask M, ascending, as 2-subsets of {0..m-1}
-    that meet exactly when the vertices are adjacent in G[M]; None when G[M]
-    is not T_m. Needs m >= 5.
+def _star_labels(adj: Sequence[int], m: int) -> Optional[tuple[tuple[int, int], ...]]:
+    """Labels of the vertices of the graph with masks adj, in order, as
+    2-subsets of {0..m-1} that meet exactly when the vertices are adjacent;
+    None when the graph is not T_m. Needs m >= 5.
 
     For a neighbour u of v in T_m, the common neighbours of v and u are the
     m-3 other members of their star, pairwise adjacent, and one matched
@@ -503,14 +513,13 @@ def _star_labels(adj: Sequence[int], M: int, m: int) -> Optional[list[tuple[int,
     the star: v, u, w and w's neighbours there if it has any, else v, u and
     the other common neighbours. v's second star comes from its lowest
     neighbour outside the first. Every step is exact on T_m, so None is
-    never a false negative; the checks make a list a proof for any G.
+    never a false negative; the checks make a labelling a proof for any graph.
     """
-    if M.bit_count() != m * (m - 1) // 2:
+    if len(adj) != m * (m - 1) // 2:
         return None
     stars: dict[int, int] = {}
     labels = []
-    for v in bits_of(M):
-        row = adj[v] & M
+    for v, row in enumerate(adj):
         if row.bit_count() != 2 * (m - 2):
             return None
         pair = []
@@ -533,9 +542,7 @@ def _star_labels(adj: Sequence[int], M: int, m: int) -> Optional[list[tuple[int,
     # star's number is on m-1 labels, and the star holds those m-1 vertices
     # (each found it) and no other: each row plus v is the set of vertices
     # whose labels meet v's
-    if len(set(labels)) != len(labels):
-        return None
-    return labels
+    return tuple(labels) if len(set(labels)) == len(labels) else None
 
 
 def triangular_labels(X: SimpleGraph, m: int) -> Optional[tuple[tuple[int, int], ...]]:
@@ -548,8 +555,7 @@ def triangular_labels(X: SimpleGraph, m: int) -> Optional[tuple[tuple[int, int],
     """
     if m < 5:
         raise PreconditionViolated(f"star cliques identify T_m only for m >= 5, got {m}")
-    labels = _star_labels(X.adj, (1 << X.n) - 1, m)
-    return None if labels is None else tuple(labels)
+    return _star_labels(_masks_from_table(X._table), m)
 
 
 def local_params(
@@ -580,10 +586,7 @@ def local_params(
     n = G.n
     if n == 0:
         raise ValueError("graph is empty")
-    roots = range(n) if roots is None else list(roots)
-    for r in roots:
-        if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r < n:
-            raise ValueError(f"root {r!r} is not a vertex id in 0..{n - 1}")
+    roots = range(n) if roots is None else [_vertex(n, r, "root") for r in roots]
     table = neighbor_table(G)
     degs = np.count_nonzero(table < n, axis=1)
     regular = bool((degs == degs[0]).all())
@@ -673,36 +676,35 @@ def bipartite_parts(G: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Deterministic 2-coloring of a connected graph; part 0 holds vertex 0.
 
     The parts are the even and odd levels of one BFS from vertex 0. Raises
-    NotBipartite with an odd closed walk as witness: an edge u-w inside the
-    first level d that has one, with a path from each end down to vertex 0,
-    2d + 1 edges in all.
+    NotBipartite with an odd closed walk: the lowest vertex u of the first
+    level d with an inner edge, its lowest neighbour w there, and from each
+    the path to 0 by lowest neighbours, 2d + 1 edges in all. ValueError
+    for the empty graph.
     """
-    levels = G.bfs_level_masks(0)
-    if sum(m.bit_count() for m in levels) != G.n:
+    import numpy as np
+
+    if G.n == 0:
+        raise ValueError("graph is empty")
+    table, dist = G._table, _distances(G, 0)
+    if (dist[:-1] < 0).any():
         raise NotConnected("bipartite_parts needs a connected graph")
-    adj = G.adj
-    parts = [0, 0]
-    for d, level in enumerate(levels):
-        for u in bits_of(level):
-            inside = adj[u] & level
-            if inside:
-                w = (inside & -inside).bit_length() - 1
-                walk_u, walk_w = [u], [w]
-                for below in reversed(levels[:d]):
-                    for walk in (walk_u, walk_w):
-                        step = adj[walk[-1]] & below
-                        walk.append((step & -step).bit_length() - 1)
-                raise NotBipartite(
-                    f"edge {u}-{w} joins vertices of equal color", odd_walk=walk_u[::-1] + walk_w
-                )
-        parts[d & 1] |= level
-    return tuple(bits_of(parts[0])), tuple(bits_of(parts[1]))
+    inner = np.flatnonzero((dist[table] == dist[:-1, None]).any(axis=1))
+    if len(inner):
+        u = int(inner[dist[inner].argmin()])  # ids ascend, so the lowest of its level
+        walks = [[u], [int(table[u][dist[table[u]] == dist[u]][0])]]  # rows ascend
+        for below in range(dist[u] - 1, -1, -1):
+            for walk in walks:
+                walk.append(int(table[walk[-1]][dist[table[walk[-1]]] == below][0]))
+        raise NotBipartite(
+            f"edge {u}-{walks[1][0]} joins vertices of equal color", odd_walk=walks[0][::-1] + walks[1]
+        )
+    return tuple(tuple(np.flatnonzero(dist[:-1] % 2 == p).tolist()) for p in (0, 1))
 
 
 def halved_graphs(G: SimpleGraph) -> tuple[SimpleGraph, SimpleGraph]:
     """The two components of the distance-2 graph of a connected bipartite
     graph, induced on the bipartition; the first one contains vertex 0."""
-    part0, part1 = bipartite_parts(G)  # raises NotConnected / NotBipartite
+    part0, part1 = bipartite_parts(G)  # raises ValueError / NotConnected / NotBipartite
     if not part1:
         raise NotBipartite("graph has a single vertex class; no second half")
     d2 = distance2_graph(G)
@@ -744,8 +746,8 @@ def is_locally(G: SimpleGraph, target: SimpleGraph) -> bool:
 
 
 def is_locally_triangular(G: SimpleGraph, n: int) -> bool:
-    """`is_locally(G, triangular_graph(n))`, decided from the star cliques of
-    each neighbourhood (see `triangular_labels`) without building it.
+    """`is_locally(G, triangular_graph(n))`, decided by `triangular_labels`
+    on each neighbourhood (`induced`) instead of an isomorphism search.
 
     For n <= 4 stars are not told apart from matched pairs, but T_2, T_3 and
     T_4 (K_1, K_3 and the octahedron) are the only graphs on C(n,2) vertices
@@ -754,12 +756,10 @@ def is_locally_triangular(G: SimpleGraph, n: int) -> bool:
     """
     if n < 2:
         raise BadDimension(f"triangular graph needs n >= 2, got {n}")
-    adj = G.adj
+    size = n * (n - 1) // 2
+    if any(d != size for d in G.degrees()):
+        return False  # checked first: no neighbourhood of another size is built
+    nbhds = (G.induced(G.neighbors(v)) for v in range(G.n))
     if n <= 4:
-        size, valency = n * (n - 1) // 2, 2 * (n - 2)
-        return all(
-            adj[v].bit_count() == size
-            and all((adj[u] & adj[v]).bit_count() == valency for u in bits_of(adj[v]))
-            for v in range(G.n)
-        )
-    return all(_star_labels(adj, adj[v], n) is not None for v in range(G.n))
+        return all(h.degrees() == [2 * (n - 2)] * size for h in nbhds)
+    return all(triangular_labels(h, n) is not None for h in nbhds)

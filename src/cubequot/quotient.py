@@ -35,7 +35,7 @@ from .cube_symmetry import (
     normalizing_translations,
 )
 from .errors import DimensionMismatch, DimensionTooLarge, PreconditionViolated
-from .graph_core import LocalParams, SimpleGraph, bits_of, local_params
+from .graph_core import LocalParams, SimpleGraph, _distances, local_params
 from .perm_groups import orbit_minima
 
 MAX_QUOTIENT_DIMENSION = 20
@@ -121,13 +121,10 @@ def natural_map(Q: QuotientGraph, v: BitVector) -> int:
 
 
 def sphere(Q: QuotientGraph, base: int, level: int) -> tuple[int, ...]:
-    """Orbit ids at graph distance `level` from orbit `base`, ascending."""
+    """Orbit ids at distance `level` from orbit `base`, ascending; ValueError for bad input."""
     if level < 0:
         raise ValueError("level must be non-negative")
-    masks = Q.graph.bfs_level_masks(base, level)
-    if level >= len(masks):
-        return ()
-    return tuple(bits_of(masks[level]))
+    return tuple((_distances(Q.graph, base, level) == level).nonzero()[0].tolist())
 
 
 def translation_roots(Q: QuotientGraph) -> list[int]:

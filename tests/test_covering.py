@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -27,9 +28,10 @@ from cubequot.errors import (
     InconsistentLift,
     NotCovering,
     NotRectagraph,
+    QuadrangleAmbiguous,
     ReconstructionFailed,
 )
-from cubequot.graph_core import bits_of, is_rectagraph
+from cubequot.graph_core import bits_of, is_rectagraph, neighbor_table
 from cubequot.verify import (
     _default_grid,
     describe_group,
@@ -65,6 +67,17 @@ def reference_verify_covering(c: CoveringMap) -> bool:
     return True
 
 
+def reference_quadrangle_fourth(target, end1, mid, end2):
+    """The former `_quadrangle_fourth`, on the target's masks."""
+    common = target.adj[end1] & target.adj[end2] & ~(1 << mid)
+    k = common.bit_count()
+    if k != 1:
+        raise QuadrangleAmbiguous(
+            f"2-path ({end1}, {mid}, {end2}) has {k} completing vertices, expected 1"
+        )
+    return common.bit_length() - 1
+
+
 def reference_lift(target, base=0, neighbor_order=None):
     """The lift that assigns images in weight order and checks every bit pair
     of each vertex against the first, then the whole map."""
@@ -86,7 +99,7 @@ def reference_lift(target, base=0, neighbor_order=None):
         end1 = image[y ^ (1 << j)]
         end2 = image[y ^ (1 << i)]
         mid = image[y ^ (1 << i) ^ (1 << j)]
-        image[y] = _quadrangle_fourth(target, end1, mid, end2)
+        image[y] = reference_quadrangle_fourth(target, end1, mid, end2)
         set_bits = list(bits_of(y))
         for a_idx, a in enumerate(set_bits):
             for b in set_bits[a_idx + 1 :]:
@@ -95,7 +108,7 @@ def reference_lift(target, base=0, neighbor_order=None):
                 e1 = image[y ^ (1 << b)]
                 e2 = image[y ^ (1 << a)]
                 m = image[y ^ (1 << a) ^ (1 << b)]
-                fourth = _quadrangle_fourth(target, e1, m, e2)
+                fourth = reference_quadrangle_fourth(target, e1, m, e2)
                 if fourth != image[y]:
                     raise InconsistentLift(
                         f"bit pairs ({i},{j}) and ({a},{b}) disagree at vertex {y:#x}"
@@ -316,6 +329,31 @@ def test_lift_matches_reference_lift_on_relabeled_quotients():
             assert cover.image == reference_lift(G, base, order).image, describe_group(K)
             lifted += 1
     assert lifted == 24
+
+
+def quadrangle_outcome(call, target, *path):
+    try:
+        return call(target, *path)
+    except QuadrangleAmbiguous as err:
+        return str(err)
+
+
+def test_quadrangle_fourth_equals_the_mask_body():
+    # every walk end1 - mid - end2 (end1 == end2 allowed) of graphs whose
+    # 2-paths close into no, one, or several quadrangles
+    k33 = SimpleGraph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    c6 = SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    seen = set()
+    for G in (cube_graph(3), k33, c6, gewirtz_graph()):
+        rows = [set(row) for row in neighbor_table(G).tolist()]
+        for mid in range(G.n):
+            for end1 in G.neighbors(mid):
+                for end2 in G.neighbors(mid):
+                    got = quadrangle_outcome(_quadrangle_fourth, rows, end1, mid, end2)
+                    assert got == quadrangle_outcome(reference_quadrangle_fourth, G, end1, mid, end2)
+                    seen.add(re.sub(r"^2-path \(.*?\) ", "", got) if isinstance(got, str) else "one")
+    # 0 on C_6; 2 on K_{3,3}, and where end1 == end2 in Q_3; 9 there in Gewirtz
+    assert seen == {"one", *(f"has {k} completing vertices, expected 1" for k in (0, 2, 9))}
 
 
 def test_lift_refuses_a_rectagraph_no_cube_covers():

@@ -633,6 +633,26 @@ def test_locally_triangular_small_n_and_degree_mismatch():
 # ---------------------------------------------------------------------------
 
 
+def reference_bfs_level_masks(G, start, max_level=None):
+    """The former `SimpleGraph.bfs_level_masks`: a single-start traversal
+    over the masks."""
+    levels = [1 << start]
+    seen = 1 << start
+    frontier = 1 << start
+    adj = G.adj
+    while max_level is None or len(levels) <= max_level:
+        nxt = 0
+        for v in graph_core.bits_of(frontier):
+            nxt |= adj[v]
+        nxt &= ~seen
+        if not nxt:
+            break
+        levels.append(nxt)
+        seen |= nxt
+        frontier = nxt
+    return levels
+
+
 def reference_local_params(G, max_level, roots=None):
     """The former `local_params`: one truncated mask BFS per root."""
     degs = G.degrees()
@@ -644,7 +664,7 @@ def reference_local_params(G, max_level, roots=None):
     a_vals[0] = 0
     adj = G.adj
     for u in range(G.n) if roots is None else roots:
-        levels = G.bfs_level_masks(u, max_level)
+        levels = reference_bfs_level_masks(G, u, max_level)
         for i in range(1, len(levels)):
             below = levels[i - 1]
             here = levels[i]
@@ -915,3 +935,255 @@ def test_kernels_agree_across_many_small_batches(monkeypatch):
             assert distance2_graph(h).adj == d2
             got = graph_core.sphere_sizes(graph_core.neighbor_table(h))
             assert [s.tolist() for s in got] == [s.tolist() for s in sizes]
+
+
+# ---------------------------------------------------------------------------
+# Single-start searches, bipartition and star cliques against the mask
+# bodies they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_connected_components(G):
+    """The former `SimpleGraph.connected_components`: one mask BFS per
+    component."""
+    seen = 0
+    comps = []
+    for v in range(G.n):
+        if (seen >> v) & 1:
+            continue
+        mask = 0
+        for lvl in reference_bfs_level_masks(G, v):
+            mask |= lvl
+        seen |= mask
+        comps.append(list(graph_core.bits_of(mask)))
+    return comps
+
+
+def reference_bipartite_parts(G):
+    """The former `bipartite_parts`: the levels of a mask BFS from 0."""
+    levels = reference_bfs_level_masks(G, 0)
+    if sum(m.bit_count() for m in levels) != G.n:
+        raise NotConnected("bipartite_parts needs a connected graph")
+    adj = G.adj
+    parts = [0, 0]
+    for d, level in enumerate(levels):
+        for u in graph_core.bits_of(level):
+            inside = adj[u] & level
+            if inside:
+                w = (inside & -inside).bit_length() - 1
+                walk_u, walk_w = [u], [w]
+                for below in reversed(levels[:d]):
+                    for walk in (walk_u, walk_w):
+                        step = adj[walk[-1]] & below
+                        walk.append((step & -step).bit_length() - 1)
+                raise NotBipartite(
+                    f"edge {u}-{w} joins vertices of equal color", odd_walk=walk_u[::-1] + walk_w
+                )
+        parts[d & 1] |= level
+    return tuple(graph_core.bits_of(parts[0])), tuple(graph_core.bits_of(parts[1]))
+
+
+def reference_star_labels(adj, M, m):
+    """The former `_star_labels`: the vertices of mask M of a graph with the
+    global masks adj."""
+    if M.bit_count() != m * (m - 1) // 2:
+        return None
+    stars = {}
+    labels = []
+    for v in graph_core.bits_of(M):
+        row = adj[v] & M
+        if row.bit_count() != 2 * (m - 2):
+            return None
+        pair = []
+        rest = row
+        for _ in range(2):
+            u = (rest & -rest).bit_length() - 1
+            common = row & adj[u]
+            w = common & -common  # 0 if none: adj[-1] & 0 is 0, and the size check fails
+            inside = adj[w.bit_length() - 1] & common
+            star = 1 << v | 1 << u | (w | inside if inside else common ^ w)
+            if star.bit_count() != m - 1:
+                return None
+            pair.append(stars.setdefault(star, len(stars)))
+            rest &= ~star
+        if rest or len(stars) > m:
+            return None
+        labels.append((min(pair), max(pair)))
+    if len(set(labels)) != len(labels):
+        return None
+    return labels
+
+
+def reference_triangular_labels(X, m):
+    """The former `triangular_labels`, on X's global masks."""
+    labels = reference_star_labels(X.adj, (1 << X.n) - 1, m)
+    return None if labels is None else tuple(labels)
+
+
+def reference_is_locally_triangular(G, n):
+    """The former `is_locally_triangular`, on G's global masks."""
+    adj = G.adj
+    if n <= 4:
+        size, valency = n * (n - 1) // 2, 2 * (n - 2)
+        return all(
+            adj[v].bit_count() == size
+            and all((adj[u] & adj[v]).bit_count() == valency for u in graph_core.bits_of(adj[v]))
+            for v in range(G.n)
+        )
+    return all(reference_star_labels(adj, adj[v], n) is not None for v in range(G.n))
+
+
+def outcome(call, *args):
+    """A call's result, or its error's type, message and odd walk."""
+    try:
+        return call(*args)
+    except (NotBipartite, NotConnected) as err:
+        return type(err), str(err), getattr(err, "odd_walk", None)
+
+
+SEARCH_SIZES = (1, 63, 64, 65, 128, 129)
+
+
+@st.composite
+def search_graphs(draw):
+    """Graphs on SEARCH_SIZES vertices: a random spanning tree with extra
+    edges between its two colour classes (bipartite) or a few anywhere
+    (mostly with an odd cycle deep in the BFS), or a sparse random graph
+    (mostly disconnected); vertex ids shuffled."""
+    n = draw(st.sampled_from(SEARCH_SIZES), label="n")
+    kind = draw(st.sampled_from(("bipartite", "odd", "sparse")), label="kind")
+    rng = random.Random(draw(st.integers(0, 2**32), label="edges"))
+    if kind == "sparse":
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 1.5 / n]
+    else:
+        parent = [rng.randrange(max(v, 1)) for v in range(n)]
+        depth = [0] * n
+        for v in range(1, n):
+            depth[v] = depth[parent[v]] + 1
+        edges = [(parent[v], v) for v in range(1, n)]
+        for _ in range(rng.randrange(4)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v and (kind == "odd" or (depth[u] - depth[v]) % 2):
+                edges.append((u, v))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return SimpleGraph.from_edges(n, edges).relabeled(perm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_graphs(), st.randoms(use_true_random=False))
+def test_single_start_searches_equal_the_mask_bodies(g, rng):
+    twin = table_twin(g, rng)
+    expected_parts = outcome(reference_bipartite_parts, g)
+    expected_comps = reference_connected_components(g)
+    starts = {0, g.n - 1, rng.randrange(g.n)}
+    for h in (g, twin):
+        assert outcome(bipartite_parts, h) == expected_parts
+        assert h.connected_components() == expected_comps
+        assert h.is_connected() == (len(expected_comps) == 1)
+        for start in starts:
+            for max_level in (None, 0, 1, 3):
+                assert h.bfs_level_masks(start, max_level) == reference_bfs_level_masks(
+                    g, start, max_level
+                )
+    assert twin._adj is None
+
+
+def test_odd_walks_of_every_depth_equal_the_mask_body():
+    # a spanning tree and one more edge: bipartite, or an odd walk whose
+    # length depends on how deep the extra edge sits
+    rng = random.Random("odd walks")
+    lengths = set()
+    for _ in range(300):
+        n = rng.choice(SEARCH_SIZES)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        u, v = rng.randrange(n), rng.randrange(n)
+        g = SimpleGraph.from_edges(n, edges + ([(u, v)] if u != v else []))
+        got = outcome(bipartite_parts, g)
+        assert got == outcome(reference_bipartite_parts, g)
+        lengths.add(0 if isinstance(got[0], tuple) else len(got[2]) - 1)
+    assert 0 in lengths and len(lengths) > 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_t_m_cases(), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_star_labels_equal_the_global_mask_body(case, swaps, rng):
+    m, perm = case
+    X = triangular_graph(m).relabeled(perm)
+    if swaps:
+        swapped = nx.Graph(X.edges())
+        nx.double_edge_swap(swapped, nswap=swaps, max_tries=1000, seed=rng.randrange(2**32))
+        X = SimpleGraph.from_edges(X.n, swapped.edges())
+    assert triangular_labels(X, m) == reference_triangular_labels(X, m)
+    assert triangular_labels(table_twin(X, rng), m) == reference_triangular_labels(X, m)
+
+
+def test_star_labels_of_the_chang_graphs_equal_the_global_mask_body():
+    t8 = triangular_graph(8)
+    assert triangular_labels(t8, 8) == reference_triangular_labels(t8, 8) is not None
+    for X in chang_graphs():
+        assert triangular_labels(X, 8) is None and reference_triangular_labels(X, 8) is None
+
+
+def locally_triangular_cases():
+    """Halved cubes (locally T_n), relabelled, and with one edge swap."""
+    rng = random.Random("locally triangular")
+    cases = []
+    for n in range(2, 8):
+        h, _ = halved_graphs(cube_graph(n))
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        h = h.relabeled(perm)
+        cases.append((n, h))
+        if n >= 4:  # the halves of Q_2 and Q_3 are complete
+            swapped = nx.Graph(h.edges())
+            nx.double_edge_swap(swapped, nswap=1, max_tries=1000, seed=n)
+            cases.append((n, SimpleGraph.from_edges(h.n, swapped.edges())))
+    return cases
+
+
+def test_locally_triangular_equals_the_global_mask_body():
+    seen = set()
+    for n, g in locally_triangular_cases():
+        for k in {n - 1, n, n + 1} - {0, 1}:
+            got = is_locally_triangular(g, k)
+            assert got == reference_is_locally_triangular(g, k)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_graphs(), st.integers(2, 7))
+def test_locally_triangular_on_search_graphs_equals_the_global_mask_body(g, n):
+    assert is_locally_triangular(g, n) == reference_is_locally_triangular(g, n)
+
+
+BAD_IDS = (-1, -2, "size", True, False, 1.0, "0", None)
+
+
+@pytest.mark.parametrize("bad", BAD_IDS)
+def test_vertex_ids_are_checked(bad):
+    g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])  # the path 0-1-2
+    if bad == "size":
+        bad = g.n
+    calls = [
+        lambda: g.neighbors(bad),
+        lambda: g.degree(bad),
+        lambda: g.has_edge(bad, 1),
+        lambda: g.has_edge(1, bad),
+        lambda: g.bfs_level_masks(bad),
+        lambda: g.bfs_level_masks(bad, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"vertex {bad!r} is not a vertex id in 0..2")):
+            call()
+    assert g.neighbors(1) == [0, 2] and g.degree(0) == 1
+    assert g.has_edge(1, 2) and not g.has_edge(0, 2)
+
+
+def test_the_empty_graph_has_no_bipartition():
+    g = SimpleGraph.from_edges(0, [])
+    for call in (bipartite_parts, halved_graphs):
+        with pytest.raises(ValueError, match="^graph is empty$"):
+            call(g)
+    assert g.is_connected() and g.connected_components() == []

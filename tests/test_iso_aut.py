@@ -31,7 +31,7 @@ from cubequot.iso_aut import (
 from cubequot.verify import _default_grid
 
 from conftest import QUATERNION_FILE, automorphism_generators, cube_graph, folded_cube_group
-from test_graph_core import kernel_graphs, table_twin
+from test_graph_core import kernel_graphs, reference_bfs_level_masks, table_twin
 from test_quotient import sweep_oracle_groups
 from test_perm_groups import chain_elements, group_from_generators
 
@@ -139,7 +139,7 @@ def test_verify_isomorphism_rejects_bad_mappings():
 def reference_invariant_values(G):
     """The former `_invariant_values`: one untruncated mask BFS per vertex."""
     return [
-        (G.degree(v), tuple(m.bit_count() for m in G.bfs_level_masks(v)[1:]))
+        (G.degree(v), tuple(m.bit_count() for m in reference_bfs_level_masks(G, v)[1:]))
         for v in range(G.n)
     ]
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -13,8 +14,10 @@ from cubequot import (
     CubeAutomorphism,
     CubeGroup,
     Permutation,
+    QuotientGraph,
     SimpleGraph,
     bipartite_double,
+    bipartite_parts,
     build_quotient,
     generate_group,
     min_distance,
@@ -28,6 +31,7 @@ from cubequot.errors import DimensionMismatch, DimensionTooLarge, GroupTooLarge,
 from cubequot.graph_core import (
     UNDEFINED,
     VACUOUS,
+    bits_of,
     distance2_graph,
     local_params,
     neighbor_table,
@@ -40,11 +44,13 @@ from conftest import QUATERNION_FILE, cube_graph, folded_cube_group
 from test_cube_symmetry import closed_elements, scan_min_distance
 from test_graph_core import (
     assert_same_graph,
+    reference_bfs_level_masks,
     reference_bipartite_double,
     reference_distance2_graph,
     reference_induced,
     reference_local_params,
     reference_relabeled,
+    search_graphs,
 )
 
 
@@ -253,6 +259,41 @@ def test_sphere_beyond_diameter_is_empty(quaternion_group):
         sphere(Q, 0, -1)
 
 
+def reference_sphere(Q, base, level):
+    """The former `sphere`: a level of the single-start mask BFS."""
+    if level < 0:
+        raise ValueError("level must be non-negative")
+    masks = reference_bfs_level_masks(Q.graph, base, level)
+    if level >= len(masks):
+        return ()
+    return tuple(bits_of(masks[level]))
+
+
+@pytest.mark.parametrize("K", sweep_oracle_groups(), ids=repr)
+def test_sphere_equals_the_mask_body(K):
+    Q = build_quotient(K)
+    for base in {0, Q.vertex_count // 2, Q.vertex_count - 1}:
+        for level in range(K.n + 2):
+            assert sphere(Q, base, level) == reference_sphere(Q, base, level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_graphs(), st.randoms(use_true_random=False))
+def test_sphere_on_search_graphs_equals_the_mask_body(g, rng):
+    # sphere reads the quotient's graph alone, so the other fields are placeholders
+    Q = QuotientGraph(1, CubeGroup.trivial(1), range(g.n), [], g)
+    base = rng.randrange(g.n)
+    for level in (0, 1, 2, 5, g.n):
+        assert sphere(Q, base, level) == reference_sphere(Q, base, level)
+
+
+@pytest.mark.parametrize("bad", [-1, 8, True, 1.0, None])
+def test_sphere_checks_the_base(bad):
+    Q = build_quotient(CubeGroup.trivial(3))
+    with pytest.raises(ValueError, match=re.escape(f"vertex {bad!r} is not a vertex id in 0..7")):
+        sphere(Q, bad, 1)
+
+
 def test_quaternion_sphere_sizes(quaternion_group):
     Q = build_quotient(quaternion_group)
     assert len(sphere(Q, Q.orbit_index[0], 2)) == 13
@@ -411,7 +452,7 @@ def full_params_oracle(G, max_level):
     c_vals = [set() for _ in range(max_level + 1)]
     a_vals = [set() for _ in range(max_level + 1)]
     for u in range(G.n):
-        levels = G.bfs_level_masks(u)
+        levels = reference_bfs_level_masks(G, u)
         for i in range(1, min(max_level, len(levels) - 1) + 1):
             for v in range(G.n):
                 if (levels[i] >> v) & 1:
@@ -566,8 +607,9 @@ def test_export_leaves_masks_unbuilt(quaternion_group, folded8):
         G.to_json()
         G.to_dot()
         G.to_json_dict()
-        assert G._adj is None
         G.bfs_level_masks(0)
+        assert G._adj is None  # a view on the table kernel
+        G.adj
         assert G._adj is not None
 
 
@@ -590,7 +632,7 @@ def test_table_kernels_match_mask_oracles_on_degenerate_quotients(K):
     assert_same_graph(G.relabeled(perm), reference_relabeled(masks, perm))
     assert_same_graph(bipartite_double(G), reference_bipartite_double(masks))
     for u in range(G.n):
-        spheres = masks.bfs_level_masks(u)
+        spheres = reference_bfs_level_masks(masks, u)
         assert [s[u] for s in sizes] == [m.bit_count() for m in spheres] + [0] * (
             len(sizes) - len(spheres)
         )
@@ -618,6 +660,18 @@ def test_trivial_quotient_of_q17_answers_from_its_table():
     assert G.degree(0) == 17 and G.is_regular()
     assert G.neighbors(5) == sorted(5 ^ (1 << i) for i in range(17))
     assert G.has_edge(5, 4) and not G.has_edge(5, 6)
+    assert G._adj is None
+
+
+def test_trivial_quotient_of_q17_searches_from_its_table():
+    # single-start searches and components run the table kernel, not masks
+    Q = build_quotient(CubeGroup.trivial(17))
+    G = Q.graph
+    assert sphere(Q, 0, 2) == tuple(sorted((1 << i) | (1 << j) for i in range(17) for j in range(i)))
+    assert G.is_connected()
+    parts = bipartite_parts(G)
+    assert parts[0][:3] == (0, 3, 5) and len(parts[0]) == len(parts[1]) == 1 << 16
+    assert [len(c) for c in G.connected_components()] == [1 << 17]
     assert G._adj is None
 
 
