@@ -746,20 +746,34 @@ def is_locally(G: SimpleGraph, target: SimpleGraph) -> bool:
 
 
 def is_locally_triangular(G: SimpleGraph, n: int) -> bool:
-    """`is_locally(G, triangular_graph(n))`, decided by `triangular_labels`
-    on each neighbourhood (`induced`) instead of an isomorphism search.
+    """`is_locally(G, triangular_graph(n))`, decided from star cliques (see
+    `triangular_labels`) on each neighbourhood instead of an isomorphism search.
 
-    For n <= 4 stars are not told apart from matched pairs, but T_2, T_3 and
-    T_4 (K_1, K_3 and the octahedron) are the only graphs on C(n,2) vertices
-    that are regular of valency 2(n-2), so those two checks decide it.
+    A neighbourhood is read in local ids 0..k-1: one position array maps the
+    row of v to its indices, the rows of its members are read through it,
+    and it is reset, so no subgraph is built. For n <= 4 stars are not told
+    apart from matched pairs, but T_2, T_3 and T_4 (K_1, K_3 and the
+    octahedron) are the only graphs on C(n,2) vertices that are regular of
+    valency 2(n-2), so those two checks decide it.
     n < 2 raises BadDimension.
     """
+    import numpy as np
+
     if n < 2:
         raise BadDimension(f"triangular graph needs n >= 2, got {n}")
     size = n * (n - 1) // 2
     if any(d != size for d in G.degrees()):
-        return False  # checked first: no neighbourhood of another size is built
-    nbhds = (G.induced(G.neighbors(v)) for v in range(G.n))
-    if n <= 4:
-        return all(h.degrees() == [2 * (n - 2)] * size for h in nbhds)
-    return all(triangular_labels(h, n) is not None for h in nbhds)
+        return False  # checked first: every row then holds `size` neighbours and no pad
+    table = G._table
+    pos = np.full(G.n, size, dtype=np.intp)  # `size` marks a vertex outside the row
+    local = np.arange(size)
+    for row in table:
+        pos[row] = local
+        rows = pos[table[row]]
+        pos[row] = size
+        if n <= 4:
+            if ((rows < size).sum(axis=1) != 2 * (n - 2)).any():
+                return False
+        elif _star_labels(_masks_from_rows(rows, size), n) is None:
+            return False
+    return True

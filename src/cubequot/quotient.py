@@ -25,7 +25,7 @@ the quotient vertices; distance parameters need a BFS from those roots only.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .cube_symmetry import (
     BitVector,
@@ -118,6 +118,18 @@ def natural_map(Q: QuotientGraph, v: BitVector) -> int:
     if v.n != Q.n:
         raise DimensionMismatch(f"vertex has n={v.n}, quotient has n={Q.n}")
     return Q.orbit_index[v.bits]
+
+
+def induced_map(Q: QuotientGraph, images) -> Optional[list[int]]:
+    """The map on Q's orbits induced by v -> images[v] on cube vertices (a
+    numpy array of 2^n entries), or None when images is not constant on some
+    orbit."""
+    import numpy as np
+
+    mapping = images[np.array(Q.reps)]
+    if not np.array_equal(mapping[np.array(Q.orbit_index)], images):
+        return None
+    return mapping.tolist()
 
 
 def sphere(Q: QuotientGraph, base: int, level: int) -> tuple[int, ...]:

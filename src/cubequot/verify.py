@@ -5,6 +5,15 @@ theorem, corollary, or worked example) to a seeded, deterministic check
 with recorded witnesses. Universally quantified statements are checked on
 a sampling grid; reports record the grid and never claim proof. A check
 that fails must carry a concrete counterexample witness.
+
+A claim is one check registered with its id and statement:
+`@_claim("lem-x", "The statement.")` over `def _lem_x(seed)`. The check
+returns (outcome, parameters, witnesses): True with what it covered, False
+with where its first counterexample lies and that counterexample, or
+SKIPPED when no case qualifies. It names no claim id; the registry builds
+the `ClaimReport`. The grid lemmas read their groups and d_K from `_grid`.
+Kernels (quotients, spheres, induced maps, parameters) come from the
+library; this module samples groups and compares.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from .graph_core import (
     UNDEFINED,
     VACUOUS,
     SimpleGraph,
+    bfs_levels,
     bipartite_double,
     bipartite_parts,
     distance2_graph,
@@ -67,6 +77,7 @@ from .quotient import (
     QuotientGraph,
     build_quotient,
     image_tables,
+    induced_map,
     natural_covering,
     quotient_params,
     sphere,
@@ -151,14 +162,11 @@ def _rng(seed, *scope) -> random.Random:
     return random.Random(":".join(str(part) for part in (seed,) + scope))
 
 
-def random_permutation(n: int, rng: random.Random) -> Permutation:
+def random_automorphism(n: int, rng: random.Random) -> CubeAutomorphism:
+    translation = BitVector(n, rng.randrange(1 << n))
     images = list(range(n))
     rng.shuffle(images)
-    return Permutation(images)
-
-
-def random_automorphism(n: int, rng: random.Random) -> CubeAutomorphism:
-    return CubeAutomorphism(BitVector(n, rng.randrange(1 << n)), random_permutation(n, rng))
+    return CubeAutomorphism(translation, Permutation(images))
 
 
 def random_involution(
@@ -319,9 +327,18 @@ CLAIMS: dict[str, Claim] = {}
 
 
 def _claim(claim_id: str, description: str):
-    def wrap(fn: Callable[[int], ClaimReport]) -> Callable[[int], ClaimReport]:
-        CLAIMS[claim_id] = Claim(claim_id, description, fn)
-        return fn
+    """Register check(seed) -> (outcome, parameters, witnesses) as a claim
+    whose runner reports the outcome SKIPPED as SKIPPED, and any other as
+    HOLDS when true and FAILS when false."""
+
+    def wrap(check: Callable[[int], tuple]) -> Callable[[int], tuple]:
+        def runner(seed: int) -> ClaimReport:
+            outcome, parameters, witnesses = check(seed)
+            status = SKIPPED if outcome is SKIPPED else HOLDS if outcome else FAILS
+            return ClaimReport(claim_id, status, parameters, witnesses)
+
+        CLAIMS[claim_id] = Claim(claim_id, description, runner)
+        return check
 
     return wrap
 
@@ -350,6 +367,7 @@ def run_all(
 
 
 def _report(claim_id: str, ok: bool, parameters: dict, witnesses: dict) -> ClaimReport:
+    """The report of an exported per-group check."""
     return ClaimReport(claim_id, HOLDS if ok else FAILS, parameters, witnesses)
 
 
@@ -362,52 +380,41 @@ def cube_graph(n: int) -> SimpleGraph:
     return build_quotient(CubeGroup.trivial(n)).graph
 
 
+def _translation_group(n: int, support: Optional[Sequence[int]] = None) -> CubeGroup:
+    """The group of order 2 of the translation by e_support, all ones by default."""
+    y = BitVector.all_ones(n) if support is None else BitVector.from_support(n, support)
+    return generate_group([CubeAutomorphism.translation_by(y)])
+
+
 def _weight_vectors(n: int, w: int) -> list[int]:
-    out = []
-    for comb in itertools.combinations(range(n), w):
-        bits = 0
-        for i in comb:
-            bits |= 1 << i
-        out.append(bits)
-    return out
+    return [sum(1 << i for i in comb) for comb in itertools.combinations(range(n), w)]
 
 
 def _cube_like(params, valency: int, level: int) -> bool:
     """Regular of the valency with a_{i-1} = 0 and c_i = i for i <= level."""
     if not params[0].is_regular or params[0].valency != valency:
         return False
-    for i in range(1, level + 1):
-        if params[i - 1].a_value not in (0, VACUOUS):
-            return False
-        if params[i].c_value not in (i, VACUOUS):
-            return False
-    return True
+    return all(
+        params[i - 1].a_value in (0, VACUOUS) and params[i].c_value in (i, VACUOUS)
+        for i in range(1, level + 1)
+    )
 
 
-def has_cube_local_structure(
-    Q: QuotientGraph, level: int, valency: Optional[int] = None
-) -> bool:
+def has_cube_local_structure(Q: QuotientGraph, level: int, valency: Optional[int] = None) -> bool:
     """Regular of valency n (or `valency`) with a_{i-1} = 0 and c_i = i for i <= level."""
     return _cube_like(quotient_params(Q, level), Q.n if valency is None else valency, level)
 
 
-def _sphere_vs_weight_classes(Q: QuotientGraph, x: int, level: int):
-    """Sphere at distance `level` from x^K versus {(x+e)^K : wt(e)=level}."""
-    base = Q.orbit_index[x]
-    ball = set(sphere(Q, base, level))
-    reach = {Q.orbit_index[x ^ e] for e in _weight_vectors(Q.n, level)}
-    return ball, reach
+def _spheres(Q: QuotientGraph, x: int, max_level: int) -> list[set[int]]:
+    """The orbit ids at distance 0..max_level from x^K, from one search."""
+    levels = bfs_levels(neighbor_table(Q.graph), [Q.orbit_index[x]], max_level)
+    found = [set(level.nonzero()[0].tolist()) for level in levels]
+    return found + [set()] * (max_level + 1 - len(found))
 
 
-def _orbit_map(Q: QuotientGraph, images) -> Optional[list[int]]:
-    """The map on Q's orbits induced by v -> images[v] on cube vertices, or
-    None when images is not constant on some orbit."""
-    import numpy as np
-
-    mapping = images[np.array(Q.reps)]
-    if not np.array_equal(mapping[np.array(Q.orbit_index)], images):
-        return None
-    return mapping.tolist()
+def _weight_classes(Q: QuotientGraph, x: int, level: int) -> set[int]:
+    """{(x+e)^K : wt(e) = level}."""
+    return {Q.orbit_index[x ^ e] for e in _weight_vectors(Q.n, level)}
 
 
 def _default_grid(seed: int, per_n: int = 10, ns: Sequence[int] = (4, 5, 6, 7, 8)):
@@ -417,6 +424,14 @@ def _default_grid(seed: int, per_n: int = 10, ns: Sequence[int] = (4, 5, 6, 7, 8
         rng = _rng(seed, "grid", n)
         groups.extend(sample_subgroups(n, per_n, rng))
     return groups
+
+
+def _grid(seed: int):
+    """The grid the distance-parameter lemmas share: their success
+    parameters, and (K, d_K) per group in grid order, each d_K taken when
+    its group is reached."""
+    groups = _default_grid(seed, per_n=6)
+    return {"groups": len(groups)}, ((K, min_distance(K)) for K in groups)
 
 
 def class_dist_grid(seed: int) -> list[CubeGroup]:
@@ -460,9 +475,7 @@ def check_main_even(K: CubeGroup) -> ClaimReport:
         connected = h.is_connected()
         locally = is_locally_triangular(h, Q.n)
         witnesses[f"half{idx}"] = {
-            "vertices": h.n,
-            "connected": connected,
-            "locally_triangular": locally,
+            "vertices": h.n, "connected": connected, "locally_triangular": locally
         }
         ok = ok and connected and locally
     return _report(
@@ -504,7 +517,7 @@ def check_even_lemma(K: CubeGroup) -> ClaimReport:
         dbl = bipartite_double(Q.graph)
         # explicit isomorphism x^L -> (x^K, wt(x) mod 2)
         parity = np.bitwise_count(np.arange(1 << K.n)).astype(np.int64) & 1
-        mapping = _orbit_map(QL, np.array(Q.orbit_index) + parity * Q.vertex_count)
+        mapping = induced_map(QL, np.array(Q.orbit_index) + parity * Q.vertex_count)
         double_iso = mapping is not None and verify_isomorphism(QL.graph, dbl, mapping)
         witnesses["double_isomorphic_to_even_part_quotient"] = double_iso
         ok = ok and double_iso
@@ -554,36 +567,29 @@ def check_halved_iso(K: CubeGroup) -> ClaimReport:
     "lem-nbd",
     "Every quotient vertex at distance l from x^K is (x+e)^K for some e of weight l.",
 )
-def _lem_nbd(seed: int) -> ClaimReport:
-    groups = _default_grid(seed, per_n=6)
+def _lem_nbd(seed: int):
+    summary, cases = _grid(seed)
     checked = 0
-    for K in groups:
+    for K, _ in cases:
         Q = build_quotient(K)
         rng = _rng(seed, "nbd", checked)
         for _ in range(3):
             x = rng.randrange(1 << K.n)
+            spheres = _spheres(Q, x, 3)
             for level in (1, 2, 3):
-                ball, reach = _sphere_vs_weight_classes(Q, x, level)
+                ball, reach = spheres[level], _weight_classes(Q, x, level)
                 checked += 1
                 if not ball <= reach:
-                    return _report(
-                        "lem-nbd",
-                        False,
-                        {"group": describe_group(K), "x": x, "level": level},
-                        {"sphere": sorted(ball), "weight_classes": sorted(reach)},
-                    )
-    return _report("lem-nbd", True, {"groups": len(groups)}, {"checked_spheres": checked})
+                    where = {"group": describe_group(K), "x": x, "level": level}
+                    return False, where, {"sphere": sorted(ball), "weight_classes": sorted(reach)}
+    return True, summary, {"checked_spheres": checked}
 
 
-@_claim(
-    "lem-trick",
-    "Distinct vertices in one orbit are at Hamming distance at least d_K.",
-)
-def _lem_trick(seed: int) -> ClaimReport:
-    groups = _default_grid(seed, per_n=6)
+@_claim("lem-trick", "Distinct vertices in one orbit are at Hamming distance at least d_K.")
+def _lem_trick(seed: int):
+    summary, cases = _grid(seed)
     checked = 0
-    for K in groups:
-        d = min_distance(K)
+    for K, d in cases:
         if d is INFINITY:
             continue
         Q = build_quotient(K)
@@ -594,23 +600,18 @@ def _lem_trick(seed: int) -> ClaimReport:
             for a, b in itertools.combinations(members, 2):
                 checked += 1
                 if (a ^ b).bit_count() < d:
-                    return _report(
-                        "lem-trick",
-                        False,
-                        {"group": describe_group(K)},
-                        {"x": a, "y": b, "distance": (a ^ b).bit_count(), "d_K": d},
-                    )
-    return _report("lem-trick", True, {"groups": len(groups)}, {"checked_pairs": checked})
+                    witness = {"x": a, "y": b, "distance": (a ^ b).bit_count(), "d_K": d}
+                    return False, {"group": describe_group(K)}, witness
+    return True, summary, {"checked_pairs": checked}
 
 
 @_claim("lem-cycle", "If 3 <= d_K < inf the quotient has a cycle of length d_K.")
-def _lem_cycle(seed: int) -> ClaimReport:
+def _lem_cycle(seed: int):
     import numpy as np
 
-    groups = _default_grid(seed, per_n=6)
+    summary, cases = _grid(seed)
     found = 0
-    for K in groups:
-        d = min_distance(K)
+    for K, d in cases:
         if not 3 <= d < INFINITY:
             continue
         Q = build_quotient(K)
@@ -627,55 +628,38 @@ def _lem_cycle(seed: int) -> ClaimReport:
                 walk.append(cur)
         ids = [Q.orbit_index[v] for v in walk]
         distinct = len(set(ids[:-1])) == d and ids[-1] == ids[0]
-        adjacent = all(
-            Q.graph.has_edge(ids[i], ids[i + 1]) for i in range(len(ids) - 1)
-        )
+        adjacent = all(Q.graph.has_edge(u, v) for u, v in zip(ids, ids[1:]))
         if not (distinct and adjacent and len(ids) - 1 == d):
-            return _report(
-                "lem-cycle",
-                False,
-                {"group": describe_group(K), "d_K": d},
-                {"projected_walk": ids},
-            )
+            return False, {"group": describe_group(K), "d_K": d}, {"projected_walk": ids}
         found += 1
     if found == 0:
-        return ClaimReport(
-            "lem-cycle", SKIPPED, {"groups": len(groups)}, {"qualifying_groups": 0}
-        )
-    return _report("lem-cycle", True, {"groups": len(groups)}, {"cycles_verified": found})
+        return SKIPPED, summary, {"qualifying_groups": 0}
+    return True, summary, {"cycles_verified": found}
 
 
-@_claim(
-    "lem-nbd2",
-    "If d_K >= 2l the distance-l sphere equals the weight-l classes exactly.",
-)
-def _lem_nbd2(seed: int) -> ClaimReport:
-    groups = _default_grid(seed, per_n=6)
+@_claim("lem-nbd2", "If d_K >= 2l the distance-l sphere equals the weight-l classes exactly.")
+def _lem_nbd2(seed: int):
+    summary, cases = _grid(seed)
     checked = 0
-    for K in groups:
-        d = min_distance(K)
+    for K, d in cases:
         Q = build_quotient(K)
         rng = _rng(seed, "nbd2", checked)
         max_level = 3 if d is INFINITY else min(3, int(d) // 2)
         for level in range(1, max_level + 1):
             x = rng.randrange(1 << K.n)
-            ball, reach = _sphere_vs_weight_classes(Q, x, level)
+            ball, reach = _spheres(Q, x, level)[level], _weight_classes(Q, x, level)
             checked += 1
             if ball != reach:
-                return _report(
-                    "lem-nbd2",
-                    False,
-                    {"group": describe_group(K), "x": x, "level": level, "d_K": d},
-                    {"sphere": sorted(ball), "weight_classes": sorted(reach)},
-                )
-    return _report("lem-nbd2", True, {"groups": len(groups)}, {"checked_spheres": checked})
+                where = {"group": describe_group(K), "x": x, "level": level, "d_K": d}
+                return False, where, {"sphere": sorted(ball), "weight_classes": sorted(reach)}
+    return True, summary, {"checked_spheres": checked}
 
 
 @_claim(
     "lem-covering",
     "Natural map is a covering iff the quotient is regular of valency n iff d_K >= 3.",
 )
-def _lem_covering(seed: int) -> ClaimReport:
+def _lem_covering(seed: int):
     groups = class_dist_grid(seed)
     for K in groups:
         Q = build_quotient(K)
@@ -683,54 +667,39 @@ def _lem_covering(seed: int) -> ClaimReport:
         regular = Q.graph.is_regular() and Q.graph.n > 0 and Q.graph.degree(0) == K.n
         distance = min_distance(K) >= 3
         if not (covering == regular == distance):
-            return _report(
-                "lem-covering",
-                False,
-                {"group": describe_group(K)},
-                {"covering": covering, "regular_valency_n": regular, "d_K_ge_3": distance},
-            )
-    return _report("lem-covering", True, {"groups": len(groups)}, {"discrepancies": 0})
+            witness = {"covering": covering, "regular_valency_n": regular, "d_K_ge_3": distance}
+            return False, {"group": describe_group(K)}, witness
+    return True, {"groups": len(groups)}, {"discrepancies": 0}
 
 
-@_claim(
-    "lem-a-c",
-    "d_K >= 2l forces a_{l-1} = 0; d_K >= 2l+1 forces c_l = l.",
-)
-def _lem_a_c(seed: int) -> ClaimReport:
-    groups = _default_grid(seed, per_n=6)
+@_claim("lem-a-c", "d_K >= 2l forces a_{l-1} = 0; d_K >= 2l+1 forces c_l = l.")
+def _lem_a_c(seed: int):
+    summary, cases = _grid(seed)
     checked = 0
-    for K in groups:
-        d = min_distance(K)
+    for K, d in cases:
         Q = build_quotient(K)
         params = quotient_params(Q, 3)
         for level in (1, 2, 3):
-            if d >= 2 * level and params[level - 1].a_value not in (0, VACUOUS):
-                return _report(
-                    "lem-a-c",
-                    False,
-                    {"group": describe_group(K), "level": level, "d_K": d},
-                    {"a_value": params[level - 1].a_value},
-                )
-            if d >= 2 * level + 1 and params[level].c_value not in (level, VACUOUS):
-                return _report(
-                    "lem-a-c",
-                    False,
-                    {"group": describe_group(K), "level": level, "d_K": d},
-                    {"c_value": params[level].c_value},
-                )
-            checked += 1
-    return _report("lem-a-c", True, {"groups": len(groups)}, {"checked_levels": checked})
+            a, c = params[level - 1].a_value, params[level].c_value
+            if d >= 2 * level and a not in (0, VACUOUS):
+                witness = {"a_value": a}
+            elif d >= 2 * level + 1 and c not in (level, VACUOUS):
+                witness = {"c_value": c}
+            else:
+                checked += 1
+                continue
+            return False, {"group": describe_group(K), "level": level, "d_K": d}, witness
+    return True, summary, {"checked_levels": checked}
 
 
 @_claim(
     "lem-counting",
     "Valency-n regularity with a_{i-1}=0, c_i=i up to l gives spheres of size C(n, l).",
 )
-def _lem_counting(seed: int) -> ClaimReport:
-    groups = _default_grid(seed, per_n=6)
+def _lem_counting(seed: int):
+    summary, cases = _grid(seed)
     checked = 0
-    for K in groups:
-        d = min_distance(K)
+    for K, d in cases:
         max_level = 3 if d is INFINITY else min(3, (int(d) - 1) // 2)
         if max_level < 1:
             continue
@@ -745,24 +714,15 @@ def _lem_counting(seed: int) -> ClaimReport:
                 size = sizes[level][u]
                 checked += 1
                 if size != math.comb(K.n, level):
-                    return _report(
-                        "lem-counting",
-                        False,
-                        {"group": describe_group(K), "vertex": u, "level": level},
-                        {"sphere_size": size, "expected": math.comb(K.n, level)},
-                    )
+                    where = {"group": describe_group(K), "vertex": u, "level": level}
+                    return False, where, {"sphere_size": size, "expected": math.comb(K.n, level)}
     if checked == 0:
-        return ClaimReport(
-            "lem-counting", SKIPPED, {"groups": len(groups)}, {"qualifying_groups": 0}
-        )
-    return _report("lem-counting", True, {"groups": len(groups)}, {"checked_spheres": checked})
+        return SKIPPED, summary, {"qualifying_groups": 0}
+    return True, summary, {"checked_spheres": checked}
 
 
-@_claim(
-    "thm-class-dist",
-    "Local cube structure up to level l is equivalent to d_K >= 2l+1 (grid).",
-)
-def _thm_class_dist(seed: int) -> ClaimReport:
+@_claim("thm-class-dist", "Local cube structure up to level l is equivalent to d_K >= 2l+1 (grid).")
+def _thm_class_dist(seed: int):
     groups = class_dist_grid(seed)
     checked = 0
     for K in groups:
@@ -773,14 +733,9 @@ def _thm_class_dist(seed: int) -> ClaimReport:
         for level in (1, 2, 3):
             checked += 1
             if params_ok[level] != (d >= 2 * level + 1):
-                return _report(
-                    "thm-class-dist",
-                    False,
-                    {"group": describe_group(K), "level": level},
-                    {"local_structure": params_ok[level], "d_K": d},
-                )
-    return _report(
-        "thm-class-dist",
+                where = {"group": describe_group(K), "level": level}
+                return False, where, {"local_structure": params_ok[level], "d_K": d}
+    return (
         True,
         {"groups": len(groups), "levels": [1, 2, 3]},
         {"checked": checked, "discrepancies": 0},
@@ -791,11 +746,8 @@ def _thm_class_dist(seed: int) -> ClaimReport:
     "cor-main-rect",
     "Valency-n rectagraphs with a_2=0, c_3=3 are exactly the quotients with d_K >= 7.",
 )
-def _cor_main_rect(seed: int) -> ClaimReport:
-    cases = []
-    for n, bits in ((8, (1 << 8) - 1), (8, (1 << 7) - 1), (9, (1 << 9) - 1)):
-        K = generate_group([CubeAutomorphism.translation_by(BitVector(n, bits))])
-        cases.append(K)
+def _cor_main_rect(seed: int):
+    cases = [_translation_group(8), _translation_group(8, range(1, 8)), _translation_group(9)]
     witnesses = {}
     for idx, K in enumerate(cases):
         d = min_distance(K)
@@ -823,15 +775,15 @@ def _cor_main_rect(seed: int) -> ClaimReport:
             "deck_order": deck.order,
         }
         if not (forward and backward and deck.order == K.order):
-            return ClaimReport("cor-main-rect", FAILS, {"case": idx}, witnesses)
-    return _report("cor-main-rect", True, {"cases": len(cases)}, witnesses)
+            return False, {"case": idx}, witnesses
+    return True, {"cases": len(cases)}, witnesses
 
 
 @_claim(
     "prop-conjugate",
     "Conjugation induces a quotient isomorphism commuting with the natural maps.",
 )
-def _prop_conjugate(seed: int) -> ClaimReport:
+def _prop_conjugate(seed: int):
     import numpy as np
 
     rng = _rng(seed, "propconj")
@@ -844,18 +796,14 @@ def _prop_conjugate(seed: int) -> ClaimReport:
             QK = build_quotient(K)
             QL = build_quotient(L)
             table = image_tables([g.key()])[0]
-            mapping = _orbit_map(QK, np.array(QL.orbit_index)[table])
+            mapping = induced_map(QK, np.array(QL.orbit_index)[table])
             consistent = mapping is not None
             ok = consistent and verify_isomorphism(QK.graph, QL.graph, mapping)
             checked += 1
             if not ok:
-                return _report(
-                    "prop-conjugate",
-                    False,
-                    {"group": describe_group(K), "g": repr(g)},
-                    {"diagram_commutes": consistent},
-                )
-    return _report("prop-conjugate", True, {"pairs": checked}, {"all_diagrams_commute": True})
+                where = {"group": describe_group(K), "g": repr(g)}
+                return False, where, {"diagram_commutes": consistent}
+    return True, {"pairs": checked}, {"all_diagrams_commute": True}
 
 
 def sample_groups_with_min_distance(
@@ -870,9 +818,7 @@ def sample_groups_with_min_distance(
         if kind == 0:
             w = rng.randrange(bound, n + 1)
             coords = rng.sample(range(1, n + 1), w)
-            K = generate_group(
-                [CubeAutomorphism.translation_by(BitVector.from_support(n, coords))]
-            )
+            K = _translation_group(n, coords)
         elif kind == 1:
             g = random_involution(n, rng)
             K = generate_group([g])
@@ -890,7 +836,7 @@ def sample_groups_with_min_distance(
     "thm-conjugate-simple",
     "For d_K >= 5, quotients are isomorphic exactly when the groups are conjugate.",
 )
-def _thm_conjugate_simple(seed: int) -> ClaimReport:
+def _thm_conjugate_simple(seed: int):
     rng = _rng(seed, "conjsimple")
     iso_checked = 0
     # conjugate pairs must give isomorphic quotients (n = 6, 7, 8)
@@ -902,23 +848,11 @@ def _thm_conjugate_simple(seed: int) -> ClaimReport:
             w = are_isomorphic(QK.graph, QL.graph)
             iso_checked += 1
             if w is None or not verify_isomorphism(QK.graph, QL.graph, w):
-                return _report(
-                    "thm-conjugate-simple",
-                    False,
-                    {"group": describe_group(K), "g": repr(g)},
-                    {"direction": "conjugate->isomorphic"},
-                )
+                where = {"group": describe_group(K), "g": repr(g)}
+                return False, where, {"direction": "conjugate->isomorphic"}
     # both directions at n = 6
-    n = 6
-    pool = [
-        generate_group([CubeAutomorphism.translation_by(BitVector.from_support(n, c))])
-        for c in (
-            (1, 2, 3, 4, 5),
-            (2, 3, 4, 5, 6),
-            (1, 2, 3, 4, 6),
-            (1, 2, 3, 4, 5, 6),
-        )
-    ]
+    supports = ((1, 2, 3, 4, 5), (2, 3, 4, 5, 6), (1, 2, 3, 4, 6), (1, 2, 3, 4, 5, 6))
+    pool = [_translation_group(6, c) for c in supports]
     cross = 0
     for K, L in itertools.combinations(pool, 2):
         conj = conjugating_element(K, L) is not None
@@ -926,31 +860,23 @@ def _thm_conjugate_simple(seed: int) -> ClaimReport:
         iso = w is not None
         cross += 1
         if conj != iso:
-            return _report(
-                "thm-conjugate-simple",
-                False,
-                {"K": describe_group(K), "L": describe_group(L)},
-                {"conjugate": conj, "isomorphic": iso},
-            )
+            where = {"K": describe_group(K), "L": describe_group(L)}
+            return False, where, {"conjugate": conj, "isomorphic": iso}
     # |Aut| = |N|/|K| on the folded 6-cube, both sides computed independently
-    Kf = generate_group([CubeAutomorphism.translation_by(BitVector.all_ones(6))])
+    Kf = _translation_group(6)
     graph_side = automorphism_group(build_quotient(Kf).graph).order
     group_side = normalizer(Kf, "full").order // Kf.order
-    ok = graph_side == group_side == 23040
-    return _report(
-        "thm-conjugate-simple",
-        ok,
+    return (
+        graph_side == group_side == 23040,
         {"conjugate_pairs": iso_checked, "cross_pairs": cross},
         {"folded6_aut": graph_side, "folded6_normalizer_quotient": group_side},
     )
 
 
 @_claim("lem-even", "Bipartiteness matches evenness; doubles collapse to the even part.")
-def _lem_even(seed: int) -> ClaimReport:
+def _lem_even(seed: int):
     rng = _rng(seed, "lemeven")
-    cases: list[CubeGroup] = [
-        generate_group([CubeAutomorphism.translation_by(BitVector.all_ones(7))]),
-    ]
+    cases = [_translation_group(7)]
     while len(cases) < 8:
         K = random_subgroup(rng.choice((4, 5, 6, 7)), rng.choice((2, 4)), rng)
         if min_distance(K) >= 2:
@@ -958,15 +884,12 @@ def _lem_even(seed: int) -> ClaimReport:
     for K in cases:
         report = check_even_lemma(K)
         if report.status != HOLDS:
-            return report
-    return _report("lem-even", True, {"groups": len(cases)}, {"all_parts_verified": True})
+            return False, report.parameters, report.witnesses
+    return True, {"groups": len(cases)}, {"all_parts_verified": True}
 
 
-@_claim(
-    "prop-halved",
-    "A non-even normalizer (or odd n) makes the two halves isomorphic.",
-)
-def _prop_halved(seed: int) -> ClaimReport:
+@_claim("prop-halved", "A non-even normalizer (or odd n) makes the two halves isomorphic.")
+def _prop_halved(seed: int):
     rng = _rng(seed, "prophalved")
     cases: list[CubeGroup] = []
     while len(cases) < 10:
@@ -978,14 +901,12 @@ def _prop_halved(seed: int) -> ClaimReport:
         report = check_halved_iso(K)
         verdicts.append(report.witnesses.get("halves_isomorphic"))
         if report.status != HOLDS:
-            return report
-    return _report(
-        "prop-halved", True, {"groups": len(cases)}, {"halves_isomorphic": verdicts}
-    )
+            return False, report.parameters, report.witnesses
+    return True, {"groups": len(cases)}, {"halves_isomorphic": verdicts}
 
 
 @_claim("cor-odd-iso", "Odd n: halves of every bipartite quotient are isomorphic.")
-def _cor_odd_iso(seed: int) -> ClaimReport:
+def _cor_odd_iso(seed: int):
     n = 7
     checked = 0
     for K in exhaustive_order2_subgroups(n):
@@ -996,14 +917,8 @@ def _cor_odd_iso(seed: int) -> ClaimReport:
         w = are_isomorphic(h0, h1)
         checked += 1
         if w is None:
-            return _report(
-                "cor-odd-iso",
-                False,
-                {"group": describe_group(K)},
-                {"halves_isomorphic": False},
-            )
-    return _report(
-        "cor-odd-iso",
+            return False, {"group": describe_group(K)}, {"halves_isomorphic": False}
+    return (
         True,
         {"dimension": n, "exhaustive_order2_groups": checked},
         {"all_halves_isomorphic": True},
@@ -1022,14 +937,13 @@ def _quaternion_group() -> CubeGroup:
     "ex-exp-halved",
     "The order-8 quaternion-type subgroup of Aut(Q_8): d_K=4, spheres 13 and 14, halves differ.",
 )
-def _ex_exp_halved(seed: int) -> ClaimReport:
+def _ex_exp_halved(seed: int):
     K = _quaternion_group()
     d = min_distance(K)
     Q = build_quotient(K)
-    order2 = sum(
-        1 for g in K.non_identity() if g.compose(g).is_identity()
-    )
-    quaternion_type = K.order == 8 and order2 == 1 and not _is_abelian(K)
+    order2 = sum(1 for g in K.non_identity() if g.compose(g).is_identity())
+    abelian = all(a.compose(b) == b.compose(a) for a, b in itertools.combinations(K.generators, 2))
+    quaternion_type = K.order == 8 and order2 == 1 and not abelian
     s0 = len(sphere(Q, Q.orbit_index[0], 2))
     s1 = len(sphere(Q, Q.orbit_index[1], 2))
     bip = True
@@ -1049,8 +963,7 @@ def _ex_exp_halved(seed: int) -> ClaimReport:
         and (s0, s1) == (13, 14)
         and not halves_iso
     )
-    return _report(
-        "ex-exp-halved",
+    return (
         ok,
         {"group": describe_group(K)},
         {
@@ -1067,27 +980,14 @@ def _ex_exp_halved(seed: int) -> ClaimReport:
     )
 
 
-def _is_abelian(K: CubeGroup) -> bool:
-    gens = K.generators
-    return all(
-        a.compose(b) == b.compose(a) for a, b in itertools.combinations(gens, 2)
-    )
-
-
 @_claim("lem-loc-tn", "d_K >= 7: every component of the distance-2 graph is locally triangular.")
-def _lem_loc_tn(seed: int) -> ClaimReport:
-    cases = [
-        CubeGroup.trivial(5),
-        generate_group([CubeAutomorphism.translation_by(BitVector.all_ones(8))]),
-        generate_group(
-            [CubeAutomorphism.translation_by(BitVector.from_support(8, tuple(range(1, 8))))]
-        ),
-    ]
+def _lem_loc_tn(seed: int):
+    cases = [CubeGroup.trivial(5), _translation_group(8), _translation_group(8, range(1, 8))]
     witnesses = {}
     for K in cases:
         d = min_distance(K)
         if d < 7:
-            raise PreconditionViolated(f"lem-loc-tn case {describe_group(K)} has d_K={d} < 7")
+            raise PreconditionViolated(f"case {describe_group(K)} has d_K={d} < 7")
         pi2 = distance2_graph(build_quotient(K).graph)
         # each neighbourhood lies inside its own component
         all_local = is_locally_triangular(pi2, K.n)
@@ -1097,37 +997,27 @@ def _lem_loc_tn(seed: int) -> ClaimReport:
             "all_locally_triangular": all_local,
         }
         if not all_local:
-            return ClaimReport("lem-loc-tn", FAILS, {}, witnesses)
-    return _report("lem-loc-tn", True, {"cases": len(cases)}, witnesses)
+            return False, {}, witnesses
+    return True, {"cases": len(cases)}, witnesses
 
 
 @_claim("thm-main-even", "Even with d_K >= 7: halves are connected and locally triangular.")
-def _thm_main_even(seed: int) -> ClaimReport:
-    cases = [
-        CubeGroup.trivial(5),
-        generate_group([CubeAutomorphism.translation_by(BitVector.all_ones(8))]),
-        generate_group(
-            [
-                CubeAutomorphism(
-                    BitVector.all_ones(10), Permutation.from_cycles(10, [(1, 2)])
-                )
-            ]
-        ),
-    ]
+def _thm_main_even(seed: int):
+    cases = [CubeGroup.trivial(5), _translation_group(8), _not_vt_group(10)]
     witnesses = {}
     for K in cases:
         report = check_main_even(K)
         witnesses[describe_group(K)] = report.witnesses
         if report.status != HOLDS:
-            return ClaimReport("thm-main-even", FAILS, report.parameters, witnesses)
-    return _report("thm-main-even", True, {"cases": len(cases)}, witnesses)
+            return False, report.parameters, witnesses
+    return True, {"cases": len(cases)}, witnesses
 
 
 @_claim(
     "thm-main-aut",
     "Halved-quotient automorphism group is the even normalizer modulo the group.",
 )
-def _thm_main_aut(seed: int) -> ClaimReport:
+def _thm_main_aut(seed: int):
     witnesses = {}
     # trivial group at n = 5: halved 5-cube
     h0, _ = halved_graphs(cube_graph(5))
@@ -1136,23 +1026,22 @@ def _thm_main_aut(seed: int) -> ClaimReport:
     witnesses["halved Q_5"] = {"graph_aut": graph_side, "even_normalizer_quotient": group_side}
     ok = graph_side == group_side == (1 << 4) * math.factorial(5)
     # folded 8-cube
-    K = generate_group([CubeAutomorphism.translation_by(BitVector.all_ones(8))])
+    K = _translation_group(8)
     h0, _ = halved_graphs(build_quotient(K).graph)
     graph_side = automorphism_group(h0).order
     group_side = normalizer(K, "even").order // K.order
     witnesses["halved folded 8-cube"] = {
-        "graph_aut": graph_side,
-        "even_normalizer_quotient": group_side,
+        "graph_aut": graph_side, "even_normalizer_quotient": group_side
     }
     ok = ok and graph_side == group_side == (1 << 6) * math.factorial(8)
-    return _report("thm-main-aut", ok, {"cases": 2}, witnesses)
+    return ok, {"cases": 2}, witnesses
 
 
 @_claim(
     "ex-large",
     "Groups with d_K in {n-1, n} are exactly the order-2 heavy translation groups (n >= 4).",
 )
-def _ex_large(seed: int) -> ClaimReport:
+def _ex_large(seed: int):
     witnesses = {}
     for n in range(4, 9):
         hits = elements_with_distance_at_least(n, n - 1)
@@ -1161,9 +1050,7 @@ def _ex_large(seed: int) -> ClaimReport:
         others = []
         for y, images, d in hits:
             (translations if images == identity_images else others).append((y, images, d))
-        expected = {
-            bits for w in (n - 1, n) for bits in _weight_vectors(n, w)
-        }
+        expected = {bits for w in (n - 1, n) for bits in _weight_vectors(n, w)}
         translations_ok = {y for y, _, _ in translations} == expected
         # every non-translation candidate has a proper power of smaller
         # displacement, so no subgroup containing it reaches d_K >= n-1
@@ -1188,36 +1075,28 @@ def _ex_large(seed: int) -> ClaimReport:
             "heavy_translation_pairs_collapse": pair_ok,
         }
         if not (translations_ok and others_die and pair_ok):
-            return ClaimReport("ex-large", FAILS, {"n": n}, witnesses)
-    return _report("ex-large", True, {"dimensions": [4, 5, 6, 7, 8]}, witnesses)
+            return False, {"n": n}, witnesses
+    return True, {"dimensions": [4, 5, 6, 7, 8]}, witnesses
 
 
-@_claim(
-    "ex-k2",
-    "Order-2 groups: d_K counts the fixed coordinates where the translation is 1.",
-)
-def _ex_k2(seed: int) -> ClaimReport:
+@_claim("ex-k2", "Order-2 groups: d_K counts the fixed coordinates where the translation is 1.")
+def _ex_k2(seed: int):
     checked = 0
     for n in range(4, 11):
         rng = _rng(seed, "k2", n)
         for _ in range(200):
             g = random_involution(n, rng)
             K = generate_group([g])
-            formula = sum(
-                1 for i in g.perm.fixed_points() if g.translation.bit(i)
-            )
+            formula = sum(1 for i in g.perm.fixed_points() if g.translation.bit(i))
             closed = min_distance(K)
             brute = brute_force_min_distance(K)
             checked += 1
             if not formula == closed == brute:
-                return _report(
-                    "ex-k2",
-                    False,
-                    {"group": describe_group(K)},
-                    {"formula": formula, "closed_form": closed, "brute_force": brute},
-                )
-    return _report(
-        "ex-k2", True, {"involutions_per_n": 200, "dimensions": list(range(4, 11))},
+                witness = {"formula": formula, "closed_form": closed, "brute_force": brute}
+                return False, {"group": describe_group(K)}, witness
+    return (
+        True,
+        {"involutions_per_n": 200, "dimensions": list(range(4, 11))},
         {"checked": checked},
     )
 
@@ -1231,7 +1110,7 @@ def _not_vt_group(n: int) -> CubeGroup:
     "ex-not-vt",
     "Heavy involutions with a transposition part give non-vertex-transitive quotients.",
 )
-def _ex_not_vt(seed: int) -> ClaimReport:
+def _ex_not_vt(seed: int):
     n = 8
     K = _not_vt_group(n)
     d = min_distance(K)
@@ -1250,8 +1129,7 @@ def _ex_not_vt(seed: int) -> ClaimReport:
         and aut.order == group_side
         and not e1_reached
     )
-    return _report(
-        "ex-not-vt",
+    return (
         ok,
         {"group": describe_group(K)},
         {
@@ -1264,11 +1142,8 @@ def _ex_not_vt(seed: int) -> ClaimReport:
     )
 
 
-@_claim(
-    "ex-lt-not-vt",
-    "A locally triangular half (n=10, d_K=8) that is not vertex-transitive.",
-)
-def _ex_lt_not_vt(seed: int) -> ClaimReport:
+@_claim("ex-lt-not-vt", "A locally triangular half (n=10, d_K=8) that is not vertex-transitive.")
+def _ex_lt_not_vt(seed: int):
     n = 10
     K = _not_vt_group(n)
     d = min_distance(K)
@@ -1283,8 +1158,7 @@ def _ex_lt_not_vt(seed: int) -> ClaimReport:
         and len(orbits) > 1
         and aut.order == group_side
     )
-    return _report(
-        "ex-lt-not-vt",
+    return (
         ok,
         {"group": describe_group(K)},
         {
@@ -1301,7 +1175,7 @@ def _ex_lt_not_vt(seed: int) -> ClaimReport:
     "ex-valency-m",
     "Even-weight translations on trailing coordinates give a quotient equal to a smaller cube.",
 )
-def _ex_valency_m(seed: int) -> ClaimReport:
+def _ex_valency_m(seed: int):
     witnesses = {}
     for m, n in ((2, 4), (3, 5), (3, 6)):
         gens = [
@@ -1325,15 +1199,15 @@ def _ex_valency_m(seed: int) -> ClaimReport:
             "valency_m_cube_params": params_ok,
         }
         if not (d == 2 and iso and params_ok and K.order == 1 << (n - m)):
-            return ClaimReport("ex-valency-m", FAILS, {"m": m, "n": n}, witnesses)
-    return _report("ex-valency-m", True, {"cases": 3}, witnesses)
+            return False, {"m": m, "n": n}, witnesses
+    return True, {"cases": 3}, witnesses
 
 
 @_claim(
     "small-n-halved-cubes",
     "Halved n-cubes for n <= 4 are complete or complete-multipartite with known symmetry.",
 )
-def _small_n_halved(seed: int) -> ClaimReport:
+def _small_n_halved(seed: int):
     expected_orders = {2: 2, 3: 24, 4: 384}
     witnesses = {}
     ok = True
@@ -1348,21 +1222,15 @@ def _small_n_halved(seed: int) -> ClaimReport:
             "locally_triangular": local,
         }
         ok = ok and aut == expected_orders[n] and h0.n == 1 << (n - 1) and local
-    return _report("small-n-halved-cubes", ok, {"dimensions": [2, 3, 4]}, witnesses)
+    return ok, {"dimensions": [2, 3, 4]}, witnesses
 
 
 # ---------------------------------------------------------------------------
 # Named worked examples
 # ---------------------------------------------------------------------------
 
-_EXAMPLES = {
-    "exp-halved": "ex-exp-halved",
-    "k2": "ex-k2",
-    "large": "ex-large",
-    "not-vt": "ex-not-vt",
-    "lt-not-vt": "ex-lt-not-vt",
-    "valency-m": "ex-valency-m",
-}
+# each worked example runs as the claim "ex-<name>"
+_EXAMPLES = {cid[3:]: cid for cid in CLAIMS if cid.startswith("ex-")}
 
 
 def run_example(name: str, seed: int = 0) -> ClaimReport:

@@ -204,3 +204,39 @@ def test_no_package_code_calls_bfs_level_masks():
             if name == "bfs_level_masks"
         }
     assert callers == set()
+
+
+def test_claim_reports_are_built_only_by_the_registry_and_report():
+    # a claim's check returns its outcome, parameters and witnesses, and the
+    # registry's runner names the report; the exported check_* functions
+    # build theirs through _report
+    path = SRC / "verify.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    builders = {
+        scope
+        for scope, node in nodes_by_scope(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ClaimReport"
+    }
+    assert builders == {"_claim.wrap.runner", "_report"}
+
+
+def test_each_claim_id_is_written_only_where_it_is_registered():
+    # outside its _claim(...) registration a claim id is written only in the
+    # one exported check_* function that reports under it
+    path = SRC / "verify.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    registrations = [
+        node.args[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_claim"
+    ]
+    ids = [arg.value for arg in registrations]
+    assert len(ids) == len(set(ids)) == 24
+    registered = {id(arg) for arg in registrations}
+    uses = [
+        (scope, node.value)
+        for scope, node in nodes_by_scope(tree)
+        if isinstance(node, ast.Constant) and node.value in ids and id(node) not in registered
+    ]
+    assert [use for use in uses if not use[0].startswith("check_")] == []
+    assert len(uses) == len({cid for _, cid in uses}) == len({scope for scope, _ in uses})

@@ -37,7 +37,7 @@ from cubequot.verify import (
     run_all,
 )
 from cubequot.cube_symmetry import _cycle_data
-from cubequot.verify import _orbit_map, _quaternion_group, _rng
+from cubequot.verify import _quaternion_group, _rng
 
 from conftest import folded_cube_group
 
@@ -155,7 +155,7 @@ def test_brute_force_min_distance_agrees():
 
 
 def orbit_map_loop(Q, images):
-    """The per-vertex loop `_orbit_map` replaced: the image of each orbit's
+    """The per-vertex loop `induced_map` replaced: the image of each orbit's
     first vertex, or None when a later vertex of the orbit disagrees."""
     mapping = [-1] * Q.vertex_count
     for v, dst in enumerate(images):
@@ -171,7 +171,7 @@ def test_orbit_map_matches_vertex_loop():
     import numpy as np
 
     from cubequot import conjugate_group
-    from cubequot.quotient import build_quotient, image_tables
+    from cubequot.quotient import build_quotient, image_tables, induced_map
     from cubequot.verify import random_automorphism
 
     rng = _rng(0, "orbit-map")
@@ -186,7 +186,7 @@ def test_orbit_map_matches_vertex_loop():
             index = np.array(QL.orbit_index)
             for images in (index[table], index[vs ^ 1], vs, index[table] + (vs & 1)):
                 expected = orbit_map_loop(QK, images.tolist())
-                assert _orbit_map(QK, images) == expected
+                assert induced_map(QK, images) == expected
                 induced += expected is not None
     assert 0 < induced < 36
 
@@ -404,3 +404,60 @@ def test_random_even_involution_needs_two_coordinates(alarm):
         random_involution(1, random.Random(0), force_even=True)
     assert random_involution(1, random.Random(0)).translation.bits == 1
     assert random_involution(2, random.Random(0), force_even=True).is_even()
+
+
+def edge_toggled(build):
+    """build_quotient with the edge between the first and the last orbit
+    added, or removed when present: a quotient one edge away from the true one."""
+    from cubequot.graph_core import SimpleGraph
+    from cubequot.quotient import QuotientGraph
+
+    def tampered(K):
+        Q = build(K)
+        G = Q.graph
+        if G.n < 2:
+            return Q
+        edges = sorted(set(G.edges()) ^ {(0, G.n - 1)})
+        graph = SimpleGraph.from_edges(G.n, edges, G.labels)
+        return QuotientGraph(Q.n, Q.group, Q.reps, Q.orbit_index, graph)
+
+    return tampered
+
+
+def report_digest(claim_id):
+    text = reports_to_json([run_claim(claim_id, seed=0)])
+    return json.loads(text)[0]["status"], hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "claim, digest",
+    [
+        ("lem-nbd", "dc2d1d033111a7da"),
+        ("lem-covering", "0b8b51de78aa045d"),
+        ("lem-even", "ba5da8af2142fabb"),
+        ("ex-valency-m", "183b494776e6e800"),
+        ("lem-loc-tn", "780a2432429993ea"),
+        ("prop-conjugate", "37a410a17cee2e72"),
+    ],
+)
+def test_claims_fail_on_a_tampered_quotient_pinned(claim, digest, monkeypatch):
+    # the first counterexample each claim reports when every quotient it
+    # builds has one edge toggled; sha256 of the whole report JSON, recorded
+    # while each claim wrote its failure report by hand
+    from cubequot import verify
+
+    monkeypatch.setattr(verify, "build_quotient", edge_toggled(verify.build_quotient))
+    assert report_digest(claim) == ("FAILS", digest)
+
+
+@pytest.mark.parametrize(
+    "claim, digest",
+    [("lem-cycle", "e47fa2aedcff814c"), ("lem-counting", "1edb5c76dcefc88b")],
+)
+def test_claims_skip_when_no_group_qualifies_pinned(claim, digest, monkeypatch):
+    # with every d_K read as 2, no grid group has 3 <= d_K < inf
+    # (lem-cycle) or a level l >= 1 with d_K >= 2l + 1 (lem-counting)
+    from cubequot import verify
+
+    monkeypatch.setattr(verify, "min_distance", lambda K: 2)
+    assert report_digest(claim) == ("SKIPPED", digest)
