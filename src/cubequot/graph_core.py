@@ -11,6 +11,11 @@ bit masks of each neighbourhood alone; masks of the whole graph
 TooLarge above MASK_BUDGET_BYTES. Graphs are immutable after
 construction and all operations are pure.
 
+The JSON and DOT exports write the text directly. Their edge lists come
+from one renderer, `_render_edges`, which lays each edge out as a
+fixed-width byte record with numpy and decodes a chunk of records at once;
+no edge is formatted in Python.
+
 Distance parameters follow the usual convention: for vertices u, v at
 distance i, c_i(u, v) counts neighbors of v at distance i-1 from u and
 a_i(u, v) counts neighbors of v at distance i from u; plain c_i or a_i is
@@ -245,13 +250,15 @@ class SimpleGraph:
 
     def to_json(self) -> str:
         """`json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\\n"`,
-        written directly: the json encoder runs in pure Python under indent."""
+        written directly: the json encoder runs in pure Python under indent.
+        The edges are rendered as bytes by `_render_edges`, the labels by the
+        C string encoder, and one join builds the text."""
         item = "    [\n      %d,\n      %d\n    ]"
         edges = _render_edges(_edges_from_table(self._table), item, ",\n")
-        parts = ['{\n  "edges": ', _json_block(edges), ",\n"]
+        parts = ['{\n  "edges": ', *_json_block(edges), ",\n"]
         if self.labels is not None:
-            labels = ",\n".join(["    " + _json_string(lbl) for lbl in self.labels])
-            parts += ['  "labels": ', _json_block(labels), ",\n"]
+            labels = ",\n    ".join(map(_json_string, self.labels))
+            parts += ['  "labels": ', *_json_block(labels and "    " + labels), ",\n"]
         parts.append(f'  "n_vertices": {self.n}\n}}\n')
         return "".join(parts)
 
@@ -292,10 +299,10 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, m={self.edge_count})"
 
 
-def _json_block(items: str) -> str:
-    """A list at indent level 1 of `json.dumps(..., indent=2)`, its items
-    pre-rendered and joined."""
-    return "[\n" + items + "\n  ]" if items else "[]"
+def _json_block(items: str) -> list[str]:
+    """A list at indent level 1 of `json.dumps(..., indent=2)`, as the parts
+    to join around its pre-rendered items; the items are not copied."""
+    return ["[\n", items, "\n  ]"] if items else ["[]"]
 
 
 def _json_string(value) -> str:
@@ -303,17 +310,59 @@ def _json_string(value) -> str:
     return encode_basestring_ascii(value) if type(value) is str else json.dumps(value)
 
 
-_RENDER_CHUNK = 4096  # edges per %-format
+_RENDER_CHUNK = 1 << 13  # edges per byte array: small enough to stay in cache
+_PAD = 0xFF  # a byte no rendered text holds
 
 
 def _render_edges(edges, item: str, sep: str) -> str:
-    """`sep.join(item % (u, v) for u, v in edges)`, one %-format per chunk."""
-    flat = edges.ravel().tolist()
+    """`sep.join(item % (u, v) for u, v in edges)` for an (E, 2) array of
+    non-negative ids, rendered as bytes with no per-edge Python work.
+
+    Each edge is one fixed-width record: `sep` and the text before the
+    first `%d`, the digits of u, the text between, the digits of v, and the
+    text after. The constant bytes are written once; the digits are copied
+    from a table of every id up to the largest, right-aligned with _PAD in
+    the unused leading places. One compress drops the pad bytes and the
+    first record's `sep`, and the bytes decode to a string at once. The
+    records are rendered _RENDER_CHUNK at a time, which bounds the transient
+    memory, and the chunk strings are joined at the end."""
+    import numpy as np
+
+    if not len(edges):
+        return ""
+    top = int(edges.max())
+    width = len(str(top))
+    lut = np.full((top + 1, width), _PAD, np.uint8)
+    for k in range(width):  # ids from 10^(width-1-k) up have a digit in place k
+        place = 10 ** (width - 1 - k)
+        low = place if place > 1 else 0
+        lut[low:, k] = np.arange(low, top + 1) // place % 10 + 48
+    lut = lut.view(f"V{width}").ravel()
+    pre, mid, post = item.split("%d")
+    head, mid, post = (text.encode("ascii") for text in (sep + pre, mid, post))
+    blank = bytes([_PAD]) * width
+    record = head + blank + mid + blank + post
+    digits = np.dtype(
+        {
+            "names": ["u", "v"],
+            "formats": [f"V{width}"] * 2,
+            "offsets": [len(head), len(head) + width + len(mid)],
+            "itemsize": len(record),
+        }
+    )
+    records = np.full(min(len(edges), _RENDER_CHUNK), np.frombuffer(record, f"V{len(record)}")[0])
     out = []
-    for start in range(0, len(flat), 2 * _RENDER_CHUNK):
-        chunk = flat[start : start + 2 * _RENDER_CHUNK]
-        out.append(sep.join([item] * (len(chunk) // 2)) % tuple(chunk))
-    return sep.join(out)
+    for start in range(0, len(edges), _RENDER_CHUNK):
+        chunk = edges[start : start + _RENDER_CHUNK]
+        fields = records[: len(chunk)].view(digits)
+        fields["u"] = lut[chunk[:, 0]]
+        fields["v"] = lut[chunk[:, 1]]
+        text = fields.view(np.uint8)
+        keep = text != _PAD
+        if not start:
+            keep[: len(sep)] = False
+        out.append(str(text[keep].data, "ascii"))
+    return "".join(out)
 
 
 def _vertex(n: int, v, what: str = "vertex") -> int:

@@ -106,11 +106,13 @@ def build_quotient(K: CubeGroup) -> QuotientGraph:
     reps = np.flatnonzero(is_rep)
     orbit_index = (np.cumsum(is_rep) - 1)[rep]
     neighbours = orbit_index[reps[:, None] ^ (1 << np.arange(n))]
-    reps = reps.tolist()
-    width = f"0{n}b"
-    labels = [format(r, width)[::-1] for r in reps]  # BitVector(n, r).to_string(), unvalidated
-    graph = SimpleGraph._from_table(neighbours, labels)
-    return QuotientGraph(n, K, reps, orbit_index.tolist(), graph)
+    # labels BitVector(n, r).to_string(): bit j of r is character j, one row
+    # of ASCII digits and a newline per representative, decoded at once
+    text = np.empty((len(reps), n + 1), np.uint8)
+    text[:, :n] = 48 + ((reps[:, None] >> np.arange(n)) & 1)
+    text[:, n] = 10
+    graph = SimpleGraph._from_table(neighbours, str(text.data, "ascii").split())
+    return QuotientGraph(n, K, reps.tolist(), orbit_index.tolist(), graph)
 
 
 def natural_map(Q: QuotientGraph, v: BitVector) -> int:

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from cubequot import (
     UNDEFINED,
     VACUOUS,
+    CubeGroup,
     SimpleGraph,
     are_isomorphic,
     bipartite_double,
     bipartite_parts,
     build_quotient,
     distance2_graph,
+    generate_group,
     halved_graphs,
     is_even,
     is_locally,
@@ -29,6 +31,7 @@ from cubequot import (
     triangular_labels,
 )
 from cubequot import graph_core
+from cubequot.cube_symmetry import standard_generators
 from cubequot.errors import (
     BadDimension,
     NotBipartite,
@@ -36,7 +39,7 @@ from cubequot.errors import (
     PreconditionViolated,
     TooLarge,
 )
-from cubequot.verify import class_dist_grid
+from cubequot.verify import class_dist_grid, sample_subgroups
 
 from conftest import cube_graph, folded_cube_group
 
@@ -136,6 +139,61 @@ def labelled_graphs(draw):
 def test_to_json_matches_json_dumps(g):
     for h in (g, table_twin(g, random.Random(g.n))):
         assert h.to_json() == json.dumps(h.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def reference_render_edges(edges, item, sep):
+    """`sep.join(item % (u, v) for u, v in edges)` by %-format, 4096 edges
+    per format: the renderer the byte-array one replaced."""
+    flat = edges.ravel().tolist()
+    out = []
+    for start in range(0, len(flat), 2 * 4096):
+        chunk = flat[start : start + 2 * 4096]
+        out.append(sep.join([item] * (len(chunk) // 2)) % tuple(chunk))
+    return sep.join(out)
+
+
+EDGE_TEMPLATES = [("    [\n      %d,\n      %d\n    ]", ",\n"), ("  %d -- %d;", "\n")]  # JSON, DOT
+DIGIT_BOUNDARIES = sorted({0, (1 << 20) - 1} | {10**k + d for k in range(1, 7) for d in (-1, 0)})
+
+
+@st.composite
+def edge_arrays(draw):
+    """(E, 2) id arrays: short ones, and lengths next to a multiple of the
+    chunk size, their ids drawn from a few values, digit boundaries among them."""
+    chunk = graph_core._RENDER_CHUNK
+    near_chunks = st.builds(lambda k, d: k * chunk + d, st.integers(1, 3), st.sampled_from([-1, 0, 1]))
+    length = draw(st.one_of(st.integers(0, 40), near_chunks))
+    id_ = st.one_of(st.sampled_from(DIGIT_BOUNDARIES), st.integers(0, (1 << 20) - 1))
+    ids = np.array(draw(st.lists(id_, min_size=1, max_size=12)), dtype=np.int64)
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(ids, size=(length, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_arrays())
+@example(np.zeros((0, 2), dtype=np.int64))
+@example(np.array([[7, 10]]))
+@example(np.array(list(itertools.product(DIGIT_BOUNDARIES, repeat=2))))
+def test_render_edges_matches_reference(edges):
+    for item, sep in EDGE_TEMPLATES:
+        assert graph_core._render_edges(edges, item, sep) == reference_render_edges(edges, item, sep)
+
+
+def export_quotient_groups():
+    """The trivial group and a sampled one at n = 1..16, and Aut(Q_4), whose
+    quotient is one vertex."""
+    rng = random.Random(37)
+    groups = [generate_group(standard_generators(4, even=False))]
+    for n in range(1, 17):
+        groups.append(CubeGroup.trivial(n))
+        if n >= 3:
+            groups += sample_subgroups(n, 1, rng)
+    return groups
+
+
+@pytest.mark.parametrize("K", export_quotient_groups(), ids=repr)
+def test_quotient_to_json_matches_json_dumps(K):
+    g = build_quotient(K).graph
+    assert g.to_json() == json.dumps(g.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def table_twin(g, rng):

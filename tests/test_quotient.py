@@ -27,7 +27,13 @@ from cubequot import (
     sphere,
 )
 from cubequot.cube_symmetry import _add_to_span, _translation_pivots, standard_generators
-from cubequot.errors import DimensionMismatch, DimensionTooLarge, GroupTooLarge, TooLarge
+from cubequot.errors import (
+    DimensionMismatch,
+    DimensionTooLarge,
+    GroupTooLarge,
+    PreconditionViolated,
+    TooLarge,
+)
 from cubequot.graph_core import (
     UNDEFINED,
     VACUOUS,
@@ -185,6 +191,15 @@ def test_build_quotient_matches_sweep_oracle(K):
     assert list(Q.graph.adj) == adj
     assert list(Q.graph.labels) == labels
     assert SimpleGraph(Q.graph.n, Q.graph.adj, Q.graph.labels) == Q.graph
+
+
+def test_labels_are_representative_bit_strings():
+    # the sweep oracle checks the labels on sweep_oracle_groups(); these add
+    # one coordinate, 2^16 labels, and a group whose elements are never listed
+    K = random_subgroup(6, 4, random.Random("labels"))
+    for G in (CubeGroup.trivial(1), CubeGroup.trivial(16), normalizer(K, "full", cap=1)):
+        Q = build_quotient(G)
+        assert Q.graph.labels == tuple(BitVector(Q.n, r).to_string() for r in Q.reps)
 
 
 def quotient_data(Q):
@@ -553,6 +568,13 @@ def test_normalizing_translations_match_brute_force():
 def test_translation_group_has_one_root(folded8):
     for K in (folded8, CubeGroup.trivial(6)):
         assert translation_roots(build_quotient(K)) == [0]
+
+
+def test_quotient_params_refuse_levels_above_the_dimension(quaternion_group):
+    Q = build_quotient(quaternion_group)
+    assert [p.level for p in quotient_params(Q, Q.n)] == list(range(Q.n + 1))
+    with pytest.raises(PreconditionViolated):
+        quotient_params(Q, Q.n + 1)
 
 
 def test_quaternion_roots_separate_sphere_sizes(quaternion_group):
